@@ -142,17 +142,20 @@ int main(int argc, char** argv) {
             opt.num_threads = threads;  // 0 = auto (UCP_THREADS / hardware)
             ucp::Timer timer;
             const Tally r = run_all(work, opt);
-            const int used = threads == 0
-                                 ? static_cast<int>(ucp::ThreadPool::default_threads())
-                                 : threads;
+            const int used = static_cast<int>(
+                ucp::ThreadPool::resolve_threads(threads, starts));
             t.add_row({std::to_string(starts), std::to_string(used),
                        std::to_string(r.cost), std::to_string(r.proved),
                        TextTable::num(r.seconds)});
-            json.record("multistart_s" + std::to_string(starts) + "_t" +
-                            std::to_string(used),
+            // Records are keyed and pinned by the *requested* thread count
+            // (t1 / tauto, "threads" 0 = auto) so the baseline gate reads
+            // the same on every host.
+            const std::string t_key =
+                threads == 0 ? "auto" : std::to_string(threads);
+            json.record("multistart_s" + std::to_string(starts) + "_t" + t_key,
                         static_cast<double>(r.cost), timer.seconds() * 1e3,
                         {{"starts", static_cast<double>(starts)},
-                         {"threads", static_cast<double>(used)}});
+                         {"threads", static_cast<double>(threads)}});
         }
         std::cout << "-- parallel multi-start (this repo's extension) --\n";
         t.print(std::cout);
@@ -206,11 +209,15 @@ int main(int argc, char** argv) {
         for (const auto& [bound, label] : bounds) {
             ucp::solver::BnbOptions opt;
             opt.bound = bound;
-            opt.time_limit_seconds = 15.0;
             std::size_t nodes = 0;
             long cost = 0;
             ucp::Timer timer;
             for (const auto& m : small_work) {
+                // 15 s per solve; a Budget's deadline starts at construction.
+                ucp::BudgetOptions limit;
+                limit.deadline_seconds = 15.0;
+                ucp::Budget governor(limit);
+                opt.governor = &governor;
                 const auto r = ucp::solver::solve_exact(m, opt);
                 nodes += r.nodes;
                 cost += r.cost;

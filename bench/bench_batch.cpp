@@ -1,12 +1,11 @@
 // Cross-instance batching bench: B independent random SCP instances solved
 // (a) sequentially with BatchSolver::solve_one and (b) through
-// BatchSolver::solve, which runs the reduce-all / solve-all phases in
-// lockstep on the shared ThreadPool. The per-instance results must be
-// bit-identical — the recorded solution fields (cost sum, proved count) come
-// from the sequential pass and are asserted equal to the batched pass while
-// timing. Throughput (instances/s) is the headline number; on a single
-// hardware thread the batch path should at least break even (pool size 1
-// runs inline), and it scales with --threads on larger machines.
+// BatchSolver::solve, a parallel map of solve_one over the ThreadPool. The
+// per-instance results must be bit-identical — the recorded solution fields
+// (cost sum, proved count) come from the sequential pass and are asserted
+// equal to the batched pass while timing. Throughput (instances/s) is the
+// headline number; on a single hardware thread the batch path breaks even
+// (pool size 1 runs inline), and it scales with --threads on larger machines.
 #include "bench_common.hpp"
 
 #include "gen/scp_gen.hpp"
@@ -34,7 +33,7 @@ bool items_equal(const BatchItem& a, const BatchItem& b) {
 int main(int argc, char** argv) {
     ucp::bench::JsonReporter json(argc, argv, "batch");
     ucp::bench::print_header(
-        "Cross-instance batching — solve_one loop vs BatchSolver lockstep",
+        "Cross-instance batching — solve_one loop vs BatchSolver",
         "Same instances through both paths; costs must match exactly.\n"
         "Throughput is instances/s over the whole batch.");
 

@@ -291,12 +291,10 @@ inline void record_decomposed_exact(JsonReporter& json, TextTable& table,
     solver::BnbResult seq_r, dec_r;
     solver::BnbOptions seq;
     seq.decompose = false;
-    seq.time_limit_seconds = 120.0;
     const RepeatTiming ts =
         time_min_of(json.min_of(), [&] { seq_r = solver::solve_exact(m, seq); });
     solver::BnbOptions dec;
     dec.num_threads = json.threads();
-    dec.time_limit_seconds = 120.0;
     const RepeatTiming td =
         time_min_of(json.min_of(), [&] { dec_r = solver::solve_exact(m, dec); });
     if (seq_r.optimal && dec_r.optimal && seq_r.cost != dec_r.cost)

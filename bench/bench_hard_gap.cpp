@@ -42,8 +42,13 @@ int main(int argc, char** argv) {
                     {{"lower_bound", static_cast<double>(scg.lower_bound)},
                      {"lp", lp.objective}});
         const auto greedy = ucp::solver::chvatal_greedy(m);
+        // A Budget's deadline starts at construction: build it right before
+        // the solve it bounds.
+        ucp::BudgetOptions limit;
+        limit.deadline_seconds = 120.0;
+        ucp::Budget governor(limit);
         ucp::solver::BnbOptions bo;
-        bo.time_limit_seconds = 120.0;
+        bo.governor = &governor;
         const auto exact = ucp::solver::solve_exact(m, bo);
 
         t.add_row({std::string("STS(") + (dim == 2 ? "9" : "27") + ")",

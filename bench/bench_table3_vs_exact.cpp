@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
         // --min-of N repeats the exact solve and keeps the fastest run; the
         // pinned fields (exact_cost, exact_optimal, exact_blocks) are
         // deterministic, so repeats only sharpen the timing.
-        ucp::solver::BnbOptions bopt;
-        bopt.time_limit_seconds = 120.0;
+        const ucp::solver::BnbOptions bopt;
         ucp::solver::BnbResult exact;
         const auto rt = ucp::bench::time_min_of(json.min_of(), [&] {
             exact = ucp::solver::solve_exact(tab.matrix, bopt);

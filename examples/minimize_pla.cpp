@@ -78,9 +78,8 @@ void print_json(std::ostream& os, const ucp::solver::TwoLevelResult& r) {
 }
 
 /// --batch=name1,name2,... [files...]: build every covering table, then hand
-/// the whole batch of matrices to BatchSolver, which runs the reduce-all and
-/// solve-all phases in lockstep on the thread pool (--threads=N; 1 = serial,
-/// same answers either way). Reports the covering-level result per instance —
+/// the whole batch of matrices to BatchSolver, which solves them in parallel
+/// on the thread pool (--threads=N; 1 = serial, same answers either way). Reports the covering-level result per instance —
 /// products, bound, core shape — not the full two-level lift.
 int run_batch(const ucp::Options& opts, bool json) {
     std::vector<std::string> names;
@@ -115,7 +114,7 @@ int run_batch(const ucp::Options& opts, bool json) {
         return 2;
     }
 
-    // Implicit phase per instance, then one lockstep explicit phase.
+    // Implicit phase per instance, then the explicit phases in parallel.
     std::vector<ucp::cover::CoveringTable> tables;
     tables.reserve(plas.size());
     std::vector<const ucp::cov::CoverMatrix*> mats;

@@ -79,8 +79,11 @@ int main(int argc, char** argv) {
                       << r.run_of_best << "]\n";
         }
         if (!opts.get_bool("skip-exact", false)) {
+            ucp::BudgetOptions limit;  // --exact-limit=0: no limit
+            limit.deadline_seconds = opts.get_double("exact-limit", 30.0);
+            ucp::Budget governor(limit);
             ucp::solver::BnbOptions bo;
-            bo.time_limit_seconds = opts.get_double("exact-limit", 30.0);
+            bo.governor = &governor;
             const auto e = ucp::solver::solve_exact(m, bo);
             std::cout << "exact (B&B)      : cost " << e.cost
                       << (e.optimal ? " (optimal)" : " (time limit hit)")

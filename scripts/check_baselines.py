@@ -13,8 +13,9 @@ is a bug, not a timing artefact.
 
 Usage: scripts/check_baselines.py [--baselines DIR] [--fresh DIR]
 
-Exit status is non-zero when any solution field drifted or a baseline has no
-fresh counterpart.
+Exit status is non-zero when any solution field drifted, a baseline has no
+fresh counterpart, or either file repeats an instance key (a duplicate would
+silently shadow one of its records).
 """
 
 import argparse
@@ -50,6 +51,16 @@ def solution_view(record: dict) -> dict:
     return {k: v for k, v in record.items() if not is_timing_field(k)}
 
 
+def records_by_instance(doc: dict, label: str, drifts: list[str]) -> dict:
+    """Indexes a file's records by instance key, reporting duplicates."""
+    records = {}
+    for r in doc.get("records", []):
+        if r["instance"] in records:
+            drifts.append(f"{r['instance']}: duplicate instance key in {label}")
+        records[r["instance"]] = r
+    return records
+
+
 def compare_file(baseline_path: Path, fresh_path: Path) -> list[str]:
     """Returns a list of human-readable drift descriptions (empty = clean)."""
     baseline = json.loads(baseline_path.read_text())
@@ -60,8 +71,8 @@ def compare_file(baseline_path: Path, fresh_path: Path) -> list[str]:
         return []
 
     drifts = []
-    base_records = {r["instance"]: r for r in baseline["records"]}
-    fresh_records = {r["instance"]: r for r in fresh.get("records", [])}
+    base_records = records_by_instance(baseline, "baseline", drifts)
+    fresh_records = records_by_instance(fresh, "fresh run", drifts)
 
     for instance, base_rec in base_records.items():
         fresh_rec = fresh_records.get(instance)

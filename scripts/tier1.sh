@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, a ThreadSanitizer pass over
 # the concurrency-bearing tests (thread pool, parallel multi-start SCG,
-# decomposition-parallel exact solver, cancellation under memory pressure),
+# decomposition-parallel exact solver, cancellation under memory pressure,
+# the portfolio and RWLS fan-out, the batch solver's per-item budgets),
 # then the chaos lane (scripts/chaos.sh): everything re-run under injected
 # OOM schedules and a tight memory cap, asserting graceful degradation.
 #
@@ -24,9 +25,9 @@ cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DUCP_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j "$JOBS" \
       --target test_thread_pool test_parallel_scg test_bnb_parallel \
-               test_cancel_pressure test_portfolio
+               test_cancel_pressure test_portfolio test_mem_budget test_rwls
 UCP_THREADS=4 ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-      -R 'test_thread_pool|test_parallel_scg|test_bnb_parallel|test_cancel_pressure|test_portfolio'
+      -R 'test_thread_pool|test_parallel_scg|test_bnb_parallel|test_cancel_pressure|test_portfolio|test_mem_budget|test_rwls'
 
 echo
 echo "=== tier 1: chaos lane (injected OOM + tight caps) ==="

@@ -100,11 +100,7 @@ struct SearchCtx {
     Cost best_cost = 0;
     std::vector<bool> best;
 
-    bool out_of_budget() {
-        return nodes >= opt.max_nodes ||
-               (opt.time_limit_seconds > 0.0 &&
-                timer.seconds() >= opt.time_limit_seconds);
-    }
+    bool out_of_budget() { return nodes >= opt.max_nodes; }
 };
 
 /// Unit propagation to a fixed point. Returns false on conflict. Adds the

@@ -74,7 +74,6 @@ private:
 
 struct BcpOptions {
     std::size_t max_nodes = 20'000'000;
-    double time_limit_seconds = 0.0;
     bool use_row_dominance = true;
 };
 

@@ -44,10 +44,13 @@ Cover irredundant_exact(const Cover& f, const pla::Pla& pla) {
     const auto onset = cover::onset_covering_matrix(pla, f);
     if (onset.matrix.num_rows() == 0) return Cover(f.space());  // empty on-set
 
+    BudgetOptions limit;
+    limit.deadline_seconds = 5.0;
+    Budget governor(limit);
     solver::BnbOptions opt;
-    opt.time_limit_seconds = 5.0;
+    opt.governor = &governor;
     const auto r = solver::solve_exact(onset.matrix, opt);
-    if (!r.optimal) return f;  // truncated: keep the input (still valid)
+    if (!r.optimal) return f;  // truncated or tripped: keep the input (valid)
 
     Cover out(f.space());
     for (const auto j : r.solution) out.add(f[j]);

@@ -2,7 +2,7 @@
 // counters. The SCG fixing loop and the reduction engine mutate this view
 // (kill rows, remove/fix columns) instead of materialising a compacted
 // CoverMatrix after every step; compaction happens only when the live
-// fraction drops below a threshold (ScgOptions::compact_live_fraction).
+// fraction drops below a threshold (kCompactLiveFraction in solver/scg.cpp).
 //
 // Index space: the view keeps the BASE indices. Algorithms iterate the base
 // ranges and skip dead slots via row_alive()/col_alive(); because the

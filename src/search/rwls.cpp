@@ -17,6 +17,9 @@ using cov::SubMatrix;
 namespace {
 
 constexpr Index kNone = static_cast<Index>(-1);
+// Steps a just-removed column may not re-enter the cover. Small values (the
+// literature uses 2–5) are enough to break remove/add cycles.
+constexpr std::uint64_t kTabuTenure = 3;
 
 /// The search engine over one matrix view. `Matrix` is CoverMatrix or
 /// SubMatrix; everything runs on base indices and skips dead slots, like the
@@ -73,7 +76,7 @@ public:
                 if (u == kNone) break;  // empty cover cannot improve
                 remove_col(u);
                 ws_.stamp[u] = step;
-                ws_.tabu_until[u] = step + 1 + opt_.tabu_tenure;
+                ws_.tabu_until[u] = step + 1 + kTabuTenure;
             } else {
                 if (opt_.max_steps != 0 && step >= opt_.max_steps) break;
                 // Swap: remove the highest-score solution column, then cover
@@ -82,7 +85,7 @@ public:
                 if (u != kNone) {
                     remove_col(u);
                     ws_.stamp[u] = step;
-                    ws_.tabu_until[u] = step + 1 + opt_.tabu_tenure;
+                    ws_.tabu_until[u] = step + 1 + kTabuTenure;
                 }
                 const Index r = ws_.uncovered[static_cast<std::size_t>(
                     rng_.below(ws_.uncovered.size()))];

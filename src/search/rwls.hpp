@@ -18,8 +18,8 @@
 //     invariant against a from-scratch recompute in the tests;
 //   * a step removes the least-useful solution column (highest score), picks
 //     a random uncovered row and adds the best non-tabu column covering it
-//     (highest score per unit cost); the removed column is tabu for
-//     `tabu_tenure` steps so the pair is not immediately undone;
+//     (highest score per unit cost); the removed column is tabu for a few
+//     steps so the pair is not immediately undone;
 //   * whenever the candidate is feasible, zero-loss columns are stripped, the
 //     incumbent is updated, and a column is removed to keep diving.
 //
@@ -57,9 +57,6 @@ struct RwlsOptions {
     /// Step budget: one remove+add swap (or one feasible-dive removal) per
     /// step. 0 = no step limit (only the governor stops the search).
     std::uint64_t max_steps = 20'000;
-    /// Steps a just-removed column may not re-enter the cover. Small values
-    /// (the literature uses 2–5) are enough to break remove/add cycles.
-    std::uint64_t tabu_tenure = 3;
     std::uint64_t seed = 0x5eed;
     /// Stop as soon as the incumbent reaches this bound (it is provably
     /// optimal then). 0 with positive costs never triggers.

@@ -47,6 +47,13 @@ using cov::Index;
 namespace {
 
 constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 4;
+// Per-node effort of the stronger bounds (BnbBound::kLagrangian, kLp,
+// kIncrementalMis): subgradient iterations, the core size (rows × cols)
+// above which the LP falls back to dual ascent, and how many rows beyond
+// the MIS the incremental-MIS sub-problem may take.
+constexpr int kLagrangianIterations = 60;
+constexpr std::size_t kLpCellLimit = 40'000;
+constexpr int kIncrementalMisExtraRows = 6;
 
 stats::Counter& blocks_found_counter() {
     static stats::Counter& c = stats::counter("bnb.blocks_found");
@@ -197,12 +204,11 @@ private:
 // ---- per-worker search context ---------------------------------------------
 
 struct Ctx {
-    Ctx(const BnbOptions& o, const Timer& t, Budget* gov,
-        std::atomic<std::size_t>& n, std::atomic<bool>& ab)
-        : opt(o), timer(t), governor(gov), nodes(n), aborted(ab) {}
+    Ctx(const BnbOptions& o, Budget* gov, std::atomic<std::size_t>& n,
+        std::atomic<bool>& ab)
+        : opt(o), governor(gov), nodes(n), aborted(ab) {}
 
     const BnbOptions& opt;
-    const Timer& timer;               // shared start time (read-only)
     Budget* governor;                 // this subtask's governor (may be null)
     std::atomic<std::size_t>& nodes;  // global expansion counter
     std::atomic<bool>& aborted;       // cooperative global cancel
@@ -213,11 +219,7 @@ struct Ctx {
         if (nodes.load(std::memory_order_relaxed) >= opt.max_nodes) return true;
         if (governor != nullptr && stop == Status::kOk)
             stop = governor->charge_iteration();
-        if (stop != Status::kOk) return true;
-        if (opt.time_limit_seconds > 0.0 &&
-            timer.seconds() >= opt.time_limit_seconds)
-            return true;
-        return false;
+        return stop != Status::kOk;
     }
 
     void abort() {
@@ -240,7 +242,7 @@ Cost core_bound(const CoverMatrix& core, const BnbOptions& opt,
         }
         case BnbBound::kLagrangian: {
             lagr::SubgradientOptions sopt;
-            sopt.max_iterations = opt.lagrangian_iterations;
+            sopt.max_iterations = kLagrangianIterations;
             sopt.use_dual_lagrangian = false;
             sopt.heuristic_period = 20;
             const auto sub = lagr::subgradient_ascent(core, sopt);
@@ -253,14 +255,14 @@ Cost core_bound(const CoverMatrix& core, const BnbOptions& opt,
         case BnbBound::kLp: {
             const std::size_t cells =
                 static_cast<std::size_t>(core.num_rows()) * core.num_cols();
-            if (cells > opt.lp_cell_limit) {
+            if (cells > kLpCellLimit) {
                 const double w = lagr::dual_ascent(core).value;
                 return static_cast<Cost>(std::ceil(w - 1e-6));
             }
             return lp::lp_lower_bound_rounded(core);
         }
         case BnbBound::kIncrementalMis:
-            return incremental_mis_bound(core, opt.incremental_mis_extra_rows);
+            return incremental_mis_bound(core, kIncrementalMisExtraRows);
     }
     return mis.bound;
 }
@@ -681,10 +683,7 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
         searchable.push_back(b);
     }
 
-    unsigned want_threads = opt.num_threads == 0
-                                ? ThreadPool::default_threads()
-                                : static_cast<unsigned>(std::max(
-                                      1, opt.num_threads));
+    const unsigned want_threads = ThreadPool::resolve_threads(opt.num_threads);
     std::vector<Task> tasks;
     for (const Index b : searchable) tasks.push_back(Task{b, -1});
     // Root-split: when blocks alone cannot feed every worker, expand large
@@ -710,8 +709,8 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
     }
     for (const Task& t : tasks) ++blocks[t.block].tasks_left;
 
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(want_threads, tasks.size()));
+    const unsigned workers =
+        ThreadPool::resolve_threads(opt.num_threads, tasks.size());
     std::atomic<int> first_stop{static_cast<int>(Status::kOk)};
 
     const auto run_task = [&](const Task& t, Budget* gov) {
@@ -724,7 +723,7 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
                 // bound: prune without expansion.
                 if (t.branch <= 0) blocks_pruned_counter().add();
             } else {
-                Ctx ctx(opt, timer, gov, nodes, aborted);
+                Ctx ctx(opt, gov, nodes, aborted);
                 std::vector<Index> chosen;
                 recurse(parts[t.block].matrix, parts[t.block].col_map, {}, 0,
                         chosen, ctx, bi.scope, t.branch);

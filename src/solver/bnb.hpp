@@ -31,19 +31,15 @@ struct BnbOptions {
     BnbBound bound = BnbBound::kDualAscent;
     bool use_limit_bound = true;
     std::size_t max_nodes = 50'000'000;
-    double time_limit_seconds = 0.0;  ///< 0 = unlimited
-    int lagrangian_iterations = 60;   ///< subgradient budget per node (kLagrangian)
-    /// kIncrementalMis: how many rows beyond the MIS the sub-problem may take.
-    int incremental_mis_extra_rows = 6;
-    /// kLp: cores larger than this (rows × cols) fall back to dual ascent.
-    std::size_t lp_cell_limit = 40'000;
-    /// Optional resource governor, charged one iteration per expanded node.
-    /// A trip truncates the search exactly like max_nodes: the incumbent and
-    /// root bound stay valid, `optimal` is false, and BnbResult::status
-    /// reports the trip. Not owned; nullptr = ungoverned. With num_threads >
-    /// 1 every subtask runs under a fork() of this governor (shared cancel
-    /// token and absolute deadline, per-subtask iteration counters), so all
-    /// workers observe deadline/cancel cooperatively.
+    /// Optional resource governor, charged one iteration per expanded node —
+    /// the only way to bound the search's wall time
+    /// (BudgetOptions::deadline_seconds). A trip truncates the search exactly
+    /// like max_nodes: the incumbent and root bound stay valid, `optimal` is
+    /// false, and BnbResult::status reports the trip. Not owned; nullptr =
+    /// ungoverned. With more than one worker every subtask runs under a
+    /// fork() of this governor (shared cancel token and absolute deadline,
+    /// per-subtask iteration counters), so all workers observe
+    /// deadline/cancel cooperatively.
     Budget* governor = nullptr;
     // ---- decomposition-parallel search (DESIGN.md §11) ----------------------
     /// Detect independent blocks of the cyclic core — at the root and again
@@ -52,7 +48,7 @@ struct BnbOptions {
     /// dynamically).
     bool decompose = true;
     /// Worker threads for the top-level block search. 1 = fully sequential
-    /// (the deterministic reference execution), 0 = ThreadPool::
+    /// (the deterministic reference execution), ≤ 0 = ThreadPool::
     /// default_threads() (honours UCP_THREADS). The optimal cost is
     /// bit-identical across thread counts; only the tie choice among equal-
     /// cost covers, node counts and trip points may differ.

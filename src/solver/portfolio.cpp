@@ -16,17 +16,6 @@ using cov::Cost;
 using cov::CoverMatrix;
 using cov::Index;
 
-namespace {
-
-/// Task-t seed: the multi-start convention (task 0 reproduces the template
-/// seed, later tasks draw independent SplitMix64 streams).
-std::uint64_t task_seed(std::uint64_t seed, int t) {
-    if (t == 0) return seed;
-    return seed ^ SplitMix64(static_cast<std::uint64_t>(t)).next();
-}
-
-}  // namespace
-
 PortfolioResult solve_portfolio(const CoverMatrix& m,
                                 const PortfolioOptions& opt) {
     static stats::Counter& c_calls = stats::counter("portfolio.calls");
@@ -88,32 +77,22 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
             const Cost core_target =
                 std::max<Cost>(0, scg.lower_bound - red.fixed_cost);
 
-            const unsigned want = opt.num_threads <= 0
-                                      ? ThreadPool::default_threads()
-                                      : static_cast<unsigned>(opt.num_threads);
-            const unsigned threads =
-                std::min(want, static_cast<unsigned>(tasks));
-            std::vector<search::RwlsResult> results(
-                static_cast<std::size_t>(tasks));
-            {
-                ThreadPool pool(threads);
-                pool.parallel_for(
-                    static_cast<std::size_t>(tasks), [&](std::size_t t) {
-                        TRACE_SPAN("portfolio.rwls_task");
-                        search::RwlsOptions local = opt.rwls;
-                        local.seed =
-                            task_seed(opt.rwls.seed, static_cast<int>(t));
-                        local.initial = warm_core;
-                        local.target_lower_bound = core_target;
-                        std::optional<Budget> forked;
-                        if (opt.governor != nullptr) {
-                            forked.emplace(opt.governor->fork());
-                            local.governor = &*forked;
-                        }
-                        search::RwlsWorkspace ws;
-                        results[t] = search::rwls_improve(red.core, local, ws);
-                    });
-            }
+            const std::vector<search::RwlsResult> results = parallel_map(
+                static_cast<std::size_t>(tasks), opt.num_threads,
+                [&](std::size_t t) {
+                    TRACE_SPAN("portfolio.rwls_task");
+                    search::RwlsOptions local = opt.rwls;
+                    local.seed = stream_seed(opt.rwls.seed, t);
+                    local.initial = warm_core;
+                    local.target_lower_bound = core_target;
+                    std::optional<Budget> forked;
+                    if (opt.governor != nullptr) {
+                        forked.emplace(opt.governor->fork());
+                        local.governor = &*forked;
+                    }
+                    search::RwlsWorkspace ws;
+                    return search::rwls_improve(red.core, local, ws);
+                });
             out.rwls_tasks_run = tasks;
             c_tasks.add(static_cast<std::uint64_t>(tasks));
             for (int t = 0; t < tasks; ++t) {
@@ -140,8 +119,7 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
     }
 
     // ---- phase 3: SCG re-seed (RWLS → Lagrangian fixing rule) --------------
-    if (opt.reseed_scg && out.winner_phase == 2 &&
-        out.cost > out.lower_bound && !tripped()) {
+    if (out.winner_phase == 2 && out.cost > out.lower_bound && !tripped()) {
         c_cross.add();
         ScgOptions reseed_opt = scg_opt;
         reseed_opt.warm_solution = out.solution;

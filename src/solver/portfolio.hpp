@@ -13,7 +13,8 @@
 //      the governor; results reduce by (cost, task index);
 //   3. SCG re-seed — when RWLS improved the incumbent, one more SCG solve
 //      warm-started with it (cross-seed RWLS → the Lagrangian fixing rule,
-//      via ScgOptions::warm_solution);
+//      via ScgOptions::warm_solution): the tightened target makes the
+//      penalty tests fix more columns, often closing the gap outright;
 //   4. optional exact finish — branch-and-bound warm-started with the best
 //      cover so far (cross-seed RWLS → the BnB incumbent, via
 //      BnbOptions::warm_solution).
@@ -38,19 +39,15 @@ struct PortfolioOptions {
     /// options" hold by construction.
     ScgOptions scg{};
     /// Per-task template for the polish phase. `initial` is overwritten with
-    /// the best SCG cover; task 0 uses `rwls.seed` verbatim, task t > 0 an
-    /// independent SplitMix64 stream (the multi-start seed convention).
+    /// the best SCG cover; task t uses stream_seed(rwls.seed, t) (util/rng.hpp,
+    /// the multi-start seed convention).
     search::RwlsOptions rwls{};
     /// Independent RWLS polish tasks (0 disables the polish phase).
     int rwls_tasks = 4;
-    /// Worker threads for the polish fan-out. 0 = auto
+    /// Worker threads for the polish fan-out. ≤ 0 = auto
     /// (ThreadPool::default_threads()), 1 = serial. Results are bit-identical
     /// for every value.
     int num_threads = 0;
-    /// Phase 3: re-run SCG warm-seeded with the RWLS incumbent when RWLS
-    /// improved on phase 1 (the tightened target makes the penalty tests fix
-    /// more columns — often closing the gap outright).
-    bool reseed_scg = true;
     /// Phase 4: finish with branch-and-bound warm-started from the portfolio
     /// incumbent. Off by default — exactness costs exponential time on hard
     /// cores; the portfolio is a heuristic first.

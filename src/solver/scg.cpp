@@ -22,6 +22,23 @@ using cov::Index;
 
 namespace {
 
+// BestCol (§4): run 1 fixes the best-rated column; run r ≥ 2 draws at random
+// among the best kBestColStart + (r − 2)·kBestColGrowth, widening the explored
+// region from run to run.
+constexpr int kBestColStart = 1;
+constexpr int kBestColGrowth = 2;
+// DualPen (§3.6): the dual penalty tests re-run dual ascent once per probed
+// column, so they only run on cores with at most this many live columns.
+constexpr std::size_t kDualPenMaxCols = 100;
+// The fixing loop works on an in-place live view of the core and only
+// materialises a compacted matrix when the live fraction (min of live
+// rows/cols over base dims) drops below this threshold. Results are
+// bit-identical for any value (DESIGN.md §7). Keep it high: the subgradient
+// iterates the base spans, so dead slots cost wall-clock — 0.9 caps that at
+// ~10% while still skipping the rebuild after steps that removed almost
+// nothing.
+constexpr double kCompactLiveFraction = 0.9;
+
 /// A sub-problem: a base matrix, the live view the fixing loop mutates, and
 /// mappings of base rows/columns back to the ORIGINAL problem, plus
 /// warm-start multipliers aligned with the base index space. Multipliers of
@@ -131,14 +148,6 @@ ScgResult solve_scg_one_start(const CoverMatrix& m, const ScgOptions& opt) {
     return out;
 }
 
-/// Seed for start `s`: start 0 uses the caller's seed verbatim (so a
-/// multi-start solve strictly dominates the classic single start with the
-/// same seed), start s > 0 draws an independent SplitMix64 stream.
-std::uint64_t start_seed(std::uint64_t seed, int s) {
-    if (s == 0) return seed;
-    return seed ^ SplitMix64(static_cast<std::uint64_t>(s)).next();
-}
-
 }  // namespace
 
 ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
@@ -160,23 +169,16 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
     }
 
     Timer timer;
-    const unsigned want = opt.num_threads <= 0
-                              ? ThreadPool::default_threads()
-                              : static_cast<unsigned>(opt.num_threads);
-    const unsigned threads = std::min(want, static_cast<unsigned>(starts));
-
     // Only the explicit (matrix) phase fans out: each start is an independent
     // descent on its own copy of the problem, so this is safe with any
     // thread count. Results land in a per-start slot and reduce by (cost,
     // start index) — bit-identical output regardless of scheduling.
-    std::vector<ScgResult> results(static_cast<std::size_t>(starts));
-    {
-        ThreadPool pool(threads);
-        pool.parallel_for(static_cast<std::size_t>(starts), [&](std::size_t s) {
+    const std::vector<ScgResult> results = parallel_map(
+        static_cast<std::size_t>(starts), opt.num_threads, [&](std::size_t s) {
             TRACE_SPAN("scg.start");
             ScgOptions local = opt;
             local.num_starts = 1;
-            local.seed = start_seed(opt.seed, static_cast<int>(s));
+            local.seed = stream_seed(opt.seed, s);
             local.log = s == 0 ? opt.log : nullptr;
             // Each start governs itself through a fork: shared cancel token
             // and absolute deadline, private iteration/fault counters — so
@@ -187,9 +189,8 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
                 forked = opt.governor->fork();
                 local.governor = &forked;
             }
-            results[s] = solve_scg_one_start(m, local);
+            return solve_scg_one_start(m, local);
         });
-    }
 
     std::size_t best = 0;
     for (std::size_t s = 1; s < results.size(); ++s)
@@ -238,9 +239,7 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
     const auto expired = [&] {
         if (stop == Status::kOk && opt.governor != nullptr)
             stop = opt.governor->check();
-        if (stop != Status::kOk) return true;
-        return opt.time_limit_seconds > 0.0 &&
-               timer.seconds() >= opt.time_limit_seconds;
+        return stop != Status::kOk;
     };
 
     // ---- initial reduction to the exact cyclic core ---------------------------
@@ -324,7 +323,7 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
         std::vector<Index> chosen = essentials;  // original ids fixed so far
         auto sub = root_sub;  // valid for `saved`, re-computed after each fixing
         const int best_col =
-            run == 1 ? 1 : opt.best_col_start + (run - 2) * opt.best_col_growth;
+            run == 1 ? 1 : kBestColStart + (run - 2) * kBestColGrowth;
 
         while (w.view.num_live_rows() > 0 && !expired()) {
             const Index C = w.mat.num_cols();
@@ -379,9 +378,9 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
                 out.columns_removed_by_penalties += pen.fix_to_zero.size();
             }
             if (opt.use_dual_penalties &&
-                w.view.num_live_cols() <= opt.dual_pen_max_cols) {
+                w.view.num_live_cols() <= kDualPenMaxCols) {
                 const auto pen = lagr::dual_penalties(
-                    w.view, ws, local_target, sub.lambda, opt.dual_pen_max_cols,
+                    w.view, ws, local_target, sub.lambda, kDualPenMaxCols,
                     opt.subgradient.integer_costs);
                 for (const Index j : pen.fix_to_one) mark_fix(j);
                 for (const Index j : pen.fix_to_zero) mark_remove(j);
@@ -442,7 +441,7 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
             // Re-compact only when the live fraction dropped enough for the
             // dense rebuild to pay for itself; the engines are bit-identical
             // on the view and on the compacted matrix.
-            if (w.view.live_fraction() < opt.compact_live_fraction)
+            if (w.view.live_fraction() < kCompactLiveFraction)
                 w.compact_base();
 
             // Re-optimise the multipliers on the reduced problem, warm-started

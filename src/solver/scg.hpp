@@ -26,38 +26,26 @@ namespace ucp::solver {
 
 struct ScgOptions {
     int num_iter = 4;          ///< NumIter: number of constructive runs
-    int best_col_start = 1;    ///< BestCol for run 2 (run 1 is deterministic)
-    int best_col_growth = 2;   ///< BestCol increment per run
     double alpha = 2.0;        ///< σ = c̃ − α·µ (paper: α = 2)
     double c_hat = 0.001;      ///< promising-column threshold on c̃
     double mu_hat = 0.999;     ///< promising-column threshold on µ
     bool use_lagrangian_penalties = true;
     bool use_dual_penalties = true;
-    std::size_t dual_pen_max_cols = 100;  ///< paper: DualPen = 100
-    /// The fixing loop works on an in-place live view of the core and only
-    /// materialises a compacted matrix when the live fraction (min of live
-    /// rows/cols over base dims) drops below this threshold. 1.0 = compact
-    /// after every fixing step (the classical behaviour), 0.0 = never.
-    /// Results are bit-identical for any value (see DESIGN.md §7). Keep it
-    /// high: the subgradient iterates the base spans, so dead slots cost
-    /// wall-clock — 0.9 caps that at ~10% while still skipping the rebuild
-    /// after steps that removed almost nothing.
-    double compact_live_fraction = 0.9;
     std::uint64_t seed = 0x5eed;
-    double time_limit_seconds = 0.0;  ///< 0 = unlimited
-    /// Independent stochastic multi-starts (embarrassingly parallel). Start 0
-    /// uses `seed` verbatim — so num_starts = 1 reproduces the classic
-    /// single-descent solver — and start s > 0 uses seed ⊕ splitmix(s), an
-    /// independent SplitMix64-derived stream. Results reduce
-    /// deterministically: best cost, ties broken by lowest start index, so
-    /// the answer is bit-identical for every num_threads value.
+    /// Independent stochastic multi-starts (embarrassingly parallel). Start s
+    /// uses stream_seed(seed, s) (util/rng.hpp) — start 0 is `seed` verbatim,
+    /// so num_starts = 1 reproduces the classic single-descent solver.
+    /// Results reduce deterministically: best cost, ties broken by lowest
+    /// start index, so the answer is bit-identical for every num_threads
+    /// value.
     int num_starts = 1;
-    /// Worker threads for the multi-start fan-out. 0 = auto
+    /// Worker threads for the multi-start fan-out. ≤ 0 = auto
     /// (ThreadPool::default_threads(): UCP_THREADS env or hardware);
     /// 1 = serial. Has no effect when num_starts ≤ 1.
     int num_threads = 1;
     lagr::SubgradientOptions subgradient{};
-    /// Optional resource governor (deadline / cancellation / iteration cap).
+    /// Optional resource governor — the only way to bound the solve's wall
+    /// time (BudgetOptions::deadline_seconds), cancel it or cap iterations.
     /// Polled between fixing steps and charged per subgradient iteration; a
     /// trip ends the solve with the best-so-far incumbent and bound, reported
     /// through ScgResult::status. Multi-starts each run on a fork of this

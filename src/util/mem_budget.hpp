@@ -10,8 +10,8 @@
 //
 // Accountants form a tree: a child charges itself first, then its parent,
 // and rolls its own charge back if any ancestor denies — so a per-solve
-// sub-cap composes with a process-wide cap (the daemon's per-request
-// isolation primitive). cap_bytes == 0 means "unlimited": the accountant
+// sub-cap composes with a process-wide cap (BatchSolver's per-item
+// isolation). cap_bytes == 0 means "unlimited": the accountant
 // still counts (high-water reporting, fault injection) but never denies on
 // its own.
 //

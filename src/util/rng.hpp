@@ -28,6 +28,14 @@ private:
     std::uint64_t state_;
 };
 
+/// Seed of stream `i` in a seeded fan-out (SCG multi-starts, portfolio polish
+/// tasks). Stream 0 is `seed` verbatim, so a one-stream run reproduces the
+/// single-seed run exactly; stream i > 0 is seed ⊕ SplitMix64(i), an
+/// independent stream.
+constexpr std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t i) noexcept {
+    return i == 0 ? seed : seed ^ SplitMix64(i).next();
+}
+
 /// xoshiro256**: fast, high-quality 64-bit generator.
 /// Satisfies the C++ UniformRandomBitGenerator concept.
 class Rng {

@@ -1,7 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <string>
 
 namespace ucp {
 
@@ -79,6 +79,12 @@ unsigned ThreadPool::default_threads() noexcept {
         if (v > 0) return static_cast<unsigned>(v);
     }
     return hardware_threads();
+}
+
+unsigned ThreadPool::resolve_threads(int requested, std::size_t tasks) noexcept {
+    const unsigned want = requested <= 0 ? default_threads()
+                                         : static_cast<unsigned>(requested);
+    return static_cast<unsigned>(std::min<std::size_t>(want, tasks));
 }
 
 }  // namespace ucp

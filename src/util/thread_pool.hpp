@@ -1,26 +1,30 @@
-// Fixed-size thread pool for the embarrassingly-parallel parts of the solver
-// (multi-start SCG, batch benchmarking).
+// Fixed-size thread pool and the seeded fan-out built on it.
 //
 // Design points:
 //   * No work stealing, no task graph — a mutex-protected FIFO is plenty for
 //     coarse-grained jobs (each SCG start runs for milliseconds to seconds).
+//     The exact solver's block search, which does steal, keeps its own deques
+//     (util/work_deque.hpp) and only borrows the pool's workers.
 //   * Deterministic single-thread fallback: a pool of size ≤ 1 runs every job
 //     inline on the calling thread, in submission order, so `UCP_THREADS=1`
 //     reproduces the serial execution exactly (no hidden worker thread).
 //   * `default_threads()` honours the `UCP_THREADS` environment variable so
 //     every binary gets a thread knob without plumbing a flag through.
 //
-// Callers are responsible for making results independent of execution order
-// (the SCG multi-start reduction indexes results by start, so the answer is
-// bit-identical for any thread count).
+// parallel_map() is the one fan-out every independent-task layer uses (SCG
+// multi-start, the portfolio's RWLS polish, BatchSolver): results land in
+// per-index slots, so the answer is bit-identical for any thread count as
+// long as each task depends only on its index.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace ucp {
@@ -58,6 +62,13 @@ public:
     /// otherwise hardware_threads().
     static unsigned default_threads() noexcept;
 
+    /// The thread-count rule of every solver option: `requested` ≤ 0 means
+    /// default_threads(), and the result is capped at `tasks` — a pool
+    /// never holds more workers than there are jobs for it.
+    static unsigned resolve_threads(
+        int requested,
+        std::size_t tasks = std::numeric_limits<std::size_t>::max()) noexcept;
+
 private:
     void worker_loop();
 
@@ -69,5 +80,16 @@ private:
     std::size_t in_flight_ = 0;  // queued + currently executing
     bool stop_ = false;
 };
+
+/// Runs fn(0) … fn(n-1) on ThreadPool::resolve_threads(num_threads, n)
+/// workers and returns the results in index order.
+template <class Fn>
+auto parallel_map(std::size_t n, int num_threads, Fn&& fn)
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
+    std::vector<std::invoke_result_t<Fn&, std::size_t>> out(n);
+    ThreadPool pool(ThreadPool::resolve_threads(num_threads, n));
+    pool.parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
+    return out;
+}
 
 }  // namespace ucp

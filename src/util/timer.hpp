@@ -25,24 +25,4 @@ private:
     Clock::time_point start_;
 };
 
-/// Deadline helper: lets long-running solvers honour a time budget.
-class Deadline {
-public:
-    /// A non-positive budget means "no limit".
-    explicit Deadline(double budget_seconds = 0.0) noexcept
-        : budget_(budget_seconds) {}
-
-    [[nodiscard]] bool expired() const noexcept {
-        return budget_ > 0.0 && timer_.seconds() >= budget_;
-    }
-
-    [[nodiscard]] double remaining() const noexcept {
-        return budget_ > 0.0 ? budget_ - timer_.seconds() : 1e300;
-    }
-
-private:
-    double budget_;
-    Timer timer_;
-};
-
 }  // namespace ucp

@@ -5,17 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "cover/table_builder.hpp"
 #include "gen/pla_gen.hpp"
 #include "gen/scp_gen.hpp"
+#include "solver/bnb.hpp"
 #include "solver/scg.hpp"
 #include "solver/two_level.hpp"
 #include "util/budget.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -142,6 +145,66 @@ TEST(Anytime, ScgIterationCapTripsAsDeadline) {
     }
     EXPECT_GE(trips, 1);
 }
+
+// A wall-clock Budget deadline is the one way to bound a solve's time. The
+// instance is an open unicost row (the u300x100k4 shape of
+// gen::unicost_suite): neither solver finishes or proves it within 50 ms, so
+// each must stop on the deadline with its best-so-far cover and report it.
+struct AnytimeAnswer {
+    std::vector<ucp::cov::Index> solution;
+    ucp::cov::Cost cost = 0;
+    ucp::cov::Cost lower_bound = 0;
+    Status status = Status::kOk;
+};
+
+struct DeadlineSolver {
+    const char* name;
+    AnytimeAnswer (*solve)(const CoverMatrix&, Budget&);
+};
+
+AnytimeAnswer scg_under(const CoverMatrix& m, Budget& gov) {
+    ScgOptions opt;
+    opt.num_iter = 10000;
+    opt.governor = &gov;
+    const ScgResult r = solve_scg(m, opt);
+    return {r.solution, r.cost, r.lower_bound, r.status};
+}
+
+AnytimeAnswer bnb_under(const CoverMatrix& m, Budget& gov) {
+    ucp::solver::BnbOptions opt;
+    opt.governor = &gov;
+    const ucp::solver::BnbResult r = ucp::solver::solve_exact(m, opt);
+    return {r.solution, r.cost, r.lower_bound, r.status};
+}
+
+class WallClockDeadline : public ::testing::TestWithParam<DeadlineSolver> {};
+
+TEST_P(WallClockDeadline, StopsWithFeasibleCoverAndValidBound) {
+    ucp::gen::UnicostScpOptions g;
+    g.rows = 300;
+    g.cols = 100;
+    g.cols_per_row = 4;
+    g.seed = 13;
+    const CoverMatrix m = ucp::gen::unicost_scp(g);
+    BudgetOptions bopt;
+    bopt.deadline_seconds = 0.05;
+    Budget gov(bopt);
+    const ucp::Timer timer;
+    const AnytimeAnswer a = GetParam().solve(m, gov);
+    EXPECT_TRUE(m.is_feasible(a.solution));
+    EXPECT_EQ(m.solution_cost(a.solution), a.cost);
+    EXPECT_LE(a.lower_bound, a.cost);
+    EXPECT_EQ(a.status, Status::kDeadline);
+    EXPECT_LT(timer.seconds(), 5.0);  // generous: one poll interval may overshoot
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Solvers, WallClockDeadline,
+    ::testing::Values(DeadlineSolver{"Scg", &scg_under},
+                      DeadlineSolver{"Bnb", &bnb_under}),
+    [](const ::testing::TestParamInfo<DeadlineSolver>& info) {
+        return std::string(info.param.name);
+    });
 
 // ---- cancellation -----------------------------------------------------------
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "gen/pla_gen.hpp"
@@ -284,7 +285,8 @@ TEST(MemLadder, GenerousCapMatchesUngovernedResult) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch per-item isolation: one starved item degrades, the rest are exact.
+// Batch per-item isolation: one starved item degrades, the rest are exact,
+// and the batch is a parallel map of solve_one at any thread count.
 
 TEST(MemLadder, BatchPerItemCapIsolatesDegradation) {
     std::vector<ucp::cov::CoverMatrix> batch;
@@ -323,11 +325,32 @@ TEST(MemLadder, BatchPerItemCapIsolatesDegradation) {
         if (it.status == Status::kResourceExhausted) ++degraded;
     EXPECT_GT(degraded, 0u);
 
-    // solve_one under the same options matches the batch slot field-for-field.
-    const auto one = ucp::solver::BatchSolver::solve_one(batch[0], opt);
-    EXPECT_EQ(one.solution, got.items[0].solution);
-    EXPECT_EQ(one.cost, got.items[0].cost);
-    EXPECT_EQ(one.status, got.items[0].status);
+    // Every slot of the batch equals solve_one under the same options, field
+    // for field, with and without the per-item cap and at every thread count.
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{4u << 10}}) {
+        for (const int threads : {1, 2, 4}) {
+            ucp::solver::BatchOptions o;
+            o.mem_budget_per_item = cap;
+            o.num_threads = threads;
+            const auto res = ucp::solver::BatchSolver(o).solve(batch);
+            ASSERT_EQ(res.items.size(), batch.size());
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                SCOPED_TRACE("cap " + std::to_string(cap) + ", threads " +
+                             std::to_string(threads) + ", item " +
+                             std::to_string(i));
+                const auto one = ucp::solver::BatchSolver::solve_one(batch[i], o);
+                const auto& it = res.items[i];
+                EXPECT_EQ(one.solution, it.solution);
+                EXPECT_EQ(one.cost, it.cost);
+                EXPECT_EQ(one.lower_bound, it.lower_bound);
+                EXPECT_EQ(one.proved_optimal, it.proved_optimal);
+                EXPECT_EQ(one.status, it.status);
+                EXPECT_EQ(one.core_rows, it.core_rows);
+                EXPECT_EQ(one.core_cols, it.core_cols);
+                EXPECT_EQ(one.scg_runs, it.scg_runs);
+            }
+        }
+    }
 }
 
 }  // namespace

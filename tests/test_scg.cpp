@@ -150,21 +150,6 @@ TEST(Scg, MoreRestartsNeverWorse) {
     }
 }
 
-TEST(Scg, TimeLimitHonored) {
-    ucp::gen::RandomScpOptions g;
-    g.rows = 60;
-    g.cols = 120;
-    g.density = 0.05;
-    g.seed = 3;
-    const CoverMatrix m = ucp::gen::random_scp(g);
-    ScgOptions opt;
-    opt.time_limit_seconds = 0.05;
-    opt.num_iter = 10000;
-    const auto r = solve_scg(m, opt);
-    EXPECT_TRUE(m.is_feasible(r.solution));
-    EXPECT_LT(r.seconds, 5.0);  // generous: one subgradient call may overshoot
-}
-
 TEST(Scg, ProgressLogIsWritten) {
     std::ostringstream log;
     ScgOptions opt;

@@ -79,12 +79,6 @@ TEST(Timer, MeasuresElapsedTime) {
     EXPECT_LT(t.milliseconds(), 15.0);
 }
 
-TEST(Deadline, ZeroBudgetNeverExpires) {
-    ucp::Deadline d(0.0);
-    EXPECT_FALSE(d.expired());
-    EXPECT_GT(d.remaining(), 1e100);
-}
-
 TEST(Options, ParsesFlagsValuesAndPositionals) {
     const char* argv[] = {"prog", "--alpha=2.5", "--flag", "file.pla",
                           "--iters=12", "--name=x"};
