@@ -6,6 +6,7 @@
 //   $ ./minimize_pla --instance=bench1 [--solver=scg|exact|greedy]
 //   $ ./minimize_pla my_function.pla --out=min.pla --compare-espresso
 //   $ ./minimize_pla --instance=ex1010 --deadline-ms=500 --json
+//   $ ./minimize_pla --batch=bench1,ex5,t1 --threads=4 --json
 //
 // The run is governed: --deadline-ms / --zdd-node-budget / --mem-budget-mb
 // set the resource budget, and SIGINT (Ctrl-C) requests cooperative
@@ -13,25 +14,26 @@
 // with its lower bound and a non-"ok" status instead of the process dying
 // mid-solve.
 //
-// Exit codes: 0 = solved and verified; 1 = result did not verify;
+// Exit codes: 0 = solved and verified (every instance, in --batch mode);
+// 1 = a result did not verify;
 // 2 = usage, unreadable input, or unwritable output (with {"status": ...}
 // on stdout in --json mode so automation never has to parse stderr).
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "cover/table_builder.hpp"
 #include "espresso/espresso.hpp"
 #include "gen/suites.hpp"
 #include "pla/pla_io.hpp"
-#include "solver/batch.hpp"
 #include "solver/two_level.hpp"
 #include "util/mem_budget.hpp"
 #include "util/options.hpp"
-#include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -62,8 +64,12 @@ int fail(ucp::Status st, const std::string& message, bool json) {
     return 2;
 }
 
-void print_json(std::ostream& os, const ucp::solver::TwoLevelResult& r) {
-    os << "{\"status\": \"" << ucp::to_string(r.status) << "\""
+void print_json(std::ostream& os, const ucp::solver::TwoLevelResult& r,
+                const ucp::MemoryBudget* mem, const std::string& instance = "") {
+    os << "{";
+    if (!instance.empty())
+        os << "\"instance\": \"" << json_escape(instance) << "\", ";
+    os << "\"status\": \"" << ucp::to_string(r.status) << "\""
        << ", \"products\": " << r.cost << ", \"literals\": " << r.literals
        << ", \"lower_bound\": " << r.lower_bound
        << ", \"proved_optimal\": " << (r.proved_optimal ? "true" : "false")
@@ -71,17 +77,86 @@ void print_json(std::ostream& os, const ucp::solver::TwoLevelResult& r) {
        << ", \"num_primes\": " << r.num_primes
        << ", \"num_rows\": " << r.num_rows
        << ", \"total_seconds\": " << r.total_seconds;
-    if (const ucp::MemoryBudget* mb = ucp::MemoryBudget::process_default())
-        os << ", \"mem_high_water_bytes\": " << mb->high_water()
-           << ", \"mem_denials\": " << mb->denials();
-    os << "}\n";
+    if (mem != nullptr)
+        os << ", \"mem_high_water_bytes\": " << mem->high_water()
+           << ", \"mem_denials\": " << mem->denials();
+    os << "}";
 }
 
-/// --batch=name1,name2,... [files...]: build every covering table, then hand
-/// the whole batch of matrices to BatchSolver, which solves them in parallel
-/// on the thread pool (--threads=N; 1 = serial, same answers either way). Reports the covering-level result per instance —
-/// products, bound, core shape — not the full two-level lift.
-int run_batch(const ucp::Options& opts, bool json) {
+void print_header(std::ostream& os, const ucp::pla::Pla& pla) {
+    const auto& s = pla.space();
+    os << "Function: " << pla.name << " — " << s.num_inputs << " inputs, "
+       << s.num_outputs << " outputs, " << pla.on.size() << " on-cubes, "
+       << pla.dc.size() << " dc-cubes\n";
+}
+
+void print_report(std::ostream& os, const ucp::solver::TwoLevelResult& r,
+                  const std::string& solver) {
+    os << "\nZDD_SCG pipeline (" << solver << "):\n"
+       << "  primes               : " << r.num_primes << '\n'
+       << "  covering rows        : " << r.num_rows
+       << " (signature classes of " << r.onset_minterms
+       << " on-set minterms)\n"
+       << "  products             : " << r.cost
+       << (r.proved_optimal ? "  (proved optimal, LB = " : "  (LB = ")
+       << r.lower_bound << ")\n"
+       << "  literals             : " << r.literals << '\n'
+       << "  cyclic core time     : " << r.cyclic_core_seconds << " s\n"
+       << "  total time           : " << r.total_seconds << " s\n"
+       << "  status               : " << ucp::to_string(r.status) << '\n'
+       << "  equivalence verified : " << (r.verified ? "yes" : "NO — BUG")
+       << '\n';
+    if (r.status != ucp::Status::kOk)
+        os << "  (budget trip: best-so-far anytime result)\n";
+}
+
+/// The pipeline options every run shares, from the solver, budget and DD
+/// engine flags. Prints a diagnostic and returns false on an unknown value.
+bool two_level_options(const ucp::Options& opts,
+                       ucp::solver::TwoLevelOptions& tl) {
+    // ZDD/BDD engine knobs (defaults documented in README).
+    tl.table.dd.cache_entries = static_cast<std::size_t>(opts.get_int(
+        "zdd-cache-entries", static_cast<long>(tl.table.dd.cache_entries)));
+    tl.table.dd.gc_threshold = static_cast<std::size_t>(opts.get_int(
+        "zdd-gc-threshold", static_cast<long>(tl.table.dd.gc_threshold)));
+    const std::string chain =
+        opts.get("zdd-chain", tl.table.dd.chain_nodes ? "on" : "off");
+    if (chain != "on" && chain != "off") {
+        std::cerr << "unknown --zdd-chain (want on|off)\n";
+        return false;
+    }
+    tl.table.dd.chain_nodes = chain == "on";
+    // Resource governor: deadline, DD node budget, SIGINT cancellation.
+    tl.budget.deadline_seconds =
+        static_cast<double>(opts.get_int("deadline-ms", 0)) / 1000.0;
+    tl.budget.zdd_node_budget =
+        static_cast<std::size_t>(opts.get_int("zdd-node-budget", 0));
+    tl.cancel = &g_cancel;
+    // Exact-solver knobs: decomposition-parallel search (DESIGN.md §11).
+    tl.bnb.num_threads =
+        static_cast<int>(opts.get_int("bnb-threads", tl.bnb.num_threads));
+    tl.bnb.parallel_min_rows = static_cast<ucp::cov::Index>(opts.get_int(
+        "bnb-min-rows", static_cast<long>(tl.bnb.parallel_min_rows)));
+    const std::string solver = opts.get("solver", "scg");
+    if (solver == "exact")
+        tl.cover_solver = ucp::solver::CoverSolver::kExact;
+    else if (solver == "greedy")
+        tl.cover_solver = ucp::solver::CoverSolver::kGreedy;
+    else if (solver != "scg") {
+        std::cerr << "unknown solver: " << solver << '\n';
+        return false;
+    }
+    return true;
+}
+
+/// --batch=name1,name2,... [files...]: one parallel_map of the pipeline over
+/// the instances (--threads=N; 1 = serial, same answers either way), each run
+/// exactly as a single --instance run with the same flags. When a per-instance
+/// cap (--mem-budget-item-mb) or a process accountant exists, every instance
+/// charges its own accountant under the process one, so a starved instance
+/// degrades alone. Exits 0 only if every instance verified.
+int run_batch(const ucp::Options& opts, const ucp::solver::TwoLevelOptions& tl,
+              bool json) {
     std::vector<std::string> names;
     std::vector<ucp::pla::Pla> plas;
     const std::string list = opts.get("batch");
@@ -114,62 +189,38 @@ int run_batch(const ucp::Options& opts, bool json) {
         return 2;
     }
 
-    // Implicit phase per instance, then the explicit phases in parallel.
-    std::vector<ucp::cover::CoveringTable> tables;
-    tables.reserve(plas.size());
-    std::vector<const ucp::cov::CoverMatrix*> mats;
-    for (const auto& pla : plas) {
-        tables.push_back(ucp::cover::build_covering_table(pla));
-        mats.push_back(&tables.back().matrix);
-    }
-    ucp::solver::BatchOptions bopt;
-    bopt.num_threads = static_cast<int>(opts.get_int("threads", 1));
-    bopt.mem_budget_per_item =
-        static_cast<std::size_t>(opts.get_int("mem-budget-item-mb", 0)) << 20;
-    const ucp::solver::BatchSolver solver(bopt);
-    const auto res = solver.solve(mats);
+    const std::size_t item_cap =
+        static_cast<std::size_t>(
+            std::max(0L, opts.get_int("mem-budget-item-mb", 0)))
+        << 20;
+    ucp::MemoryBudget* proc = ucp::MemoryBudget::process_default();
+    std::vector<std::unique_ptr<ucp::MemoryBudget>> mems(plas.size());
+    const auto results = ucp::parallel_map(
+        plas.size(), static_cast<int>(opts.get_int("threads", 1)),
+        [&](std::size_t i) {
+            ucp::solver::TwoLevelOptions item = tl;
+            if (item_cap != 0 || proc != nullptr) {
+                mems[i] = std::make_unique<ucp::MemoryBudget>(item_cap, proc);
+                item.budget.memory = mems[i].get();
+            }
+            return ucp::solver::minimize_two_level(plas[i], item);
+        });
 
-    if (json) {
-        std::cout << "[";
-        for (std::size_t i = 0; i < res.items.size(); ++i) {
-            const auto& it = res.items[i];
-            std::cout << (i ? ",\n " : "\n ") << "{\"instance\": \"" << names[i]
-                      << "\", \"products\": " << it.cost
-                      << ", \"lower_bound\": " << it.lower_bound
-                      << ", \"proved_optimal\": "
-                      << (it.proved_optimal ? "true" : "false")
-                      << ", \"core_rows\": " << it.core_rows
-                      << ", \"core_cols\": " << it.core_cols
-                      << ", \"status\": \"" << ucp::to_string(it.status)
-                      << "\"}";
+    bool all_verified = true;
+    if (json) std::cout << "[";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (json) {
+            std::cout << (i ? ",\n " : "\n ");
+            print_json(std::cout, results[i], mems[i].get(), names[i]);
+        } else {
+            if (i) std::cout << '\n';
+            print_header(std::cout, plas[i]);
+            print_report(std::cout, results[i], opts.get("solver", "scg"));
         }
-        std::cout << "\n]\n";
-    } else {
-        ucp::TextTable t({"instance", "rows x cols", "products", "LB", "core",
-                          "reduce s", "solve s", "status"});
-        for (std::size_t i = 0; i < res.items.size(); ++i) {
-            const auto& it = res.items[i];
-            t.add_row({names[i],
-                       std::to_string(mats[i]->num_rows()) + "x" +
-                           std::to_string(mats[i]->num_cols()),
-                       std::to_string(it.cost) +
-                           (it.proved_optimal ? "*" : ""),
-                       std::to_string(it.lower_bound),
-                       std::to_string(it.core_rows) + "x" +
-                           std::to_string(it.core_cols),
-                       ucp::TextTable::num(it.reduce_seconds, 4),
-                       ucp::TextTable::num(it.solve_seconds, 4),
-                       ucp::to_string(it.status)});
-        }
-        t.print(std::cout);
-        std::cout << "batch of " << res.items.size() << " instances in "
-                  << ucp::TextTable::num(res.seconds, 4) << " s ("
-                  << (bopt.num_threads == 1 ? "serial"
-                                            : std::to_string(bopt.num_threads) +
-                                                  " threads")
-                  << ")\n";
+        all_verified = all_verified && results[i].verified;
     }
-    return 0;
+    if (json) std::cout << "\n]\n";
+    return all_verified ? 0 : 1;
 }
 
 }  // namespace
@@ -179,12 +230,15 @@ int main(int argc, char** argv) {
     try {
         // Memory governor: latch the cap into the environment before the
         // first solve so MemoryBudget::process_default() — consulted by every
-        // DD manager, solver and BatchSolver in this process — picks it up.
+        // DD manager and solver in this process — picks it up.
         const long mem_mb = opts.get_int("mem-budget-mb", 0);
         if (mem_mb > 0)
             ::setenv("UCP_MEM_BUDGET", std::to_string(mem_mb).c_str(), 1);
         const bool json = opts.get_bool("json", false);
-        if (opts.has("batch")) return run_batch(opts, json);
+        ucp::solver::TwoLevelOptions tl;
+        if (!two_level_options(opts, tl)) return 2;
+        std::signal(SIGINT, on_sigint);
+        if (opts.has("batch")) return run_batch(opts, tl, json);
         ucp::pla::Pla pla;
         if (opts.has("instance")) {
             pla = ucp::gen::instance_by_name(opts.get("instance"));
@@ -197,12 +251,11 @@ int main(int argc, char** argv) {
         } else {
             std::cerr << "usage: minimize_pla <file.pla> | --instance=<name>\n"
                       << "       minimize_pla --batch=<a,b,...> [files...] "
-                         "[--threads=<n>]\n"
+                         "[--threads=<n>] [--mem-budget-item-mb=<n>]\n"
                       << "       [--solver=scg|exact|greedy] [--out=<file>]\n"
                       << "       [--compare-espresso] [--json]\n"
                       << "       [--deadline-ms=<n>] [--zdd-node-budget=<n>]\n"
-                      << "       [--mem-budget-mb=<n>] "
-                         "[--mem-budget-item-mb=<n>]\n"
+                      << "       [--mem-budget-mb=<n>]\n"
                       << "       [--bnb-threads=<n>] [--bnb-min-rows=<n>]\n"
                       << "       [--zdd-cache-entries=<n>] "
                          "[--zdd-gc-threshold=<n>] [--zdd-chain=on|off]\n"
@@ -214,34 +267,7 @@ int main(int argc, char** argv) {
             return 2;
         }
 
-        const auto& s = pla.space();
-        if (!json)
-            std::cout << "Function: " << pla.name << " — " << s.num_inputs
-                      << " inputs, " << s.num_outputs << " outputs, "
-                      << pla.on.size() << " on-cubes, " << pla.dc.size()
-                      << " dc-cubes\n";
-
-        ucp::solver::TwoLevelOptions tl;
-        // ZDD/BDD engine knobs (defaults documented in README).
-        tl.table.dd.cache_entries = static_cast<std::size_t>(opts.get_int(
-            "zdd-cache-entries", static_cast<long>(tl.table.dd.cache_entries)));
-        tl.table.dd.gc_threshold = static_cast<std::size_t>(opts.get_int(
-            "zdd-gc-threshold", static_cast<long>(tl.table.dd.gc_threshold)));
-        const std::string chain =
-            opts.get("zdd-chain", tl.table.dd.chain_nodes ? "on" : "off");
-        if (chain == "on" || chain == "off") {
-            tl.table.dd.chain_nodes = chain == "on";
-        } else {
-            std::cerr << "unknown --zdd-chain (want on|off)\n";
-            return 2;
-        }
-        // Resource governor: deadline, DD node budget, SIGINT cancellation.
-        tl.budget.deadline_seconds =
-            static_cast<double>(opts.get_int("deadline-ms", 0)) / 1000.0;
-        tl.budget.zdd_node_budget =
-            static_cast<std::size_t>(opts.get_int("zdd-node-budget", 0));
-        tl.cancel = &g_cancel;
-        std::signal(SIGINT, on_sigint);
+        if (!json) print_header(std::cout, pla);
         // Tracing (docs/OBSERVABILITY.md): arm before the solve, export after.
         const std::string trace_path = opts.get("trace", "");
         const std::string trace_format = opts.get("trace-format", "jsonl");
@@ -261,20 +287,6 @@ int main(int argc, char** argv) {
                              "will produce an empty trace\n";
             }
             ucp::trace::start(trace_level);
-        }
-        // Exact-solver knobs: decomposition-parallel search (DESIGN.md §11).
-        tl.bnb.num_threads =
-            static_cast<int>(opts.get_int("bnb-threads", tl.bnb.num_threads));
-        tl.bnb.parallel_min_rows = static_cast<ucp::cov::Index>(opts.get_int(
-            "bnb-min-rows", static_cast<long>(tl.bnb.parallel_min_rows)));
-        const std::string solver = opts.get("solver", "scg");
-        if (solver == "exact")
-            tl.cover_solver = ucp::solver::CoverSolver::kExact;
-        else if (solver == "greedy")
-            tl.cover_solver = ucp::solver::CoverSolver::kGreedy;
-        else if (solver != "scg") {
-            std::cerr << "unknown solver: " << solver << '\n';
-            return 2;
         }
 
         const auto r = ucp::solver::minimize_two_level(pla, tl);
@@ -301,8 +313,8 @@ int main(int argc, char** argv) {
             ucp::pla::Pla out;
             out.name = pla.name + ".min";
             out.on = r.cover;
-            out.dc = ucp::pla::Cover(s);
-            out.off = ucp::pla::Cover(s);
+            out.dc = ucp::pla::Cover(pla.space());
+            out.off = ucp::pla::Cover(pla.space());
             std::ofstream f(opts.get("out"));
             if (f) {
                 ucp::pla::write_pla(f, out);
@@ -314,28 +326,10 @@ int main(int argc, char** argv) {
                             json);
         }
         if (json) {
-            print_json(std::cout, r);
+            print_json(std::cout, r, ucp::MemoryBudget::process_default());
+            std::cout << '\n';
         } else {
-            std::cout << "\nZDD_SCG pipeline (" << solver << "):\n"
-                      << "  primes               : " << r.num_primes << '\n'
-                      << "  covering rows        : " << r.num_rows
-                      << " (signature classes of " << r.onset_minterms
-                      << " on-set minterms)\n"
-                      << "  products             : " << r.cost
-                      << (r.proved_optimal ? "  (proved optimal, LB = "
-                                           : "  (LB = ")
-                      << r.lower_bound << ")\n"
-                      << "  literals             : " << r.literals << '\n'
-                      << "  cyclic core time     : " << r.cyclic_core_seconds
-                      << " s\n"
-                      << "  total time           : " << r.total_seconds
-                      << " s\n"
-                      << "  status               : " << ucp::to_string(r.status)
-                      << '\n'
-                      << "  equivalence verified : "
-                      << (r.verified ? "yes" : "NO — BUG") << '\n';
-            if (r.status != ucp::Status::kOk)
-                std::cout << "  (budget trip: best-so-far anytime result)\n";
+            print_report(std::cout, r, opts.get("solver", "scg"));
         }
 
         if (opts.get_bool("compare-espresso", false)) {

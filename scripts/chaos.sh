@@ -3,9 +3,11 @@
 # and tight process-wide caps (UCP_MEM_BUDGET) over the CLI and the full test
 # suite, and assert graceful degradation everywhere:
 #
-#   * every CLI run ends in status "ok" or "resource_exhausted" (a governed
-#     run may also report its usual budget trips) with exit code <= 1 — a
-#     crash, abort or uncaught exception fails the lane;
+#   * every CLI run — single instances and one four-thread --batch map per
+#     schedule and cap — ends in status "ok" or "resource_exhausted" (a
+#     governed run may also report its usual budget trips) with a verified
+#     cover and exit code <= 1 — a crash, abort or uncaught exception fails
+#     the lane;
 #   * the full ctest run may FAIL individual assertions (ungoverned
 #     reference solves are deliberately poisoned by the ambient schedule —
 #     only the hermetic suites unset it), but no test process may die on a
@@ -59,15 +61,42 @@ run_cli() { # <env-desc> <instance> [extra-env...]
   esac
 }
 
+# One --batch map of four instances on four threads: every item must end in
+# an allowed status with a verified cover.
+run_batch() { # <env-desc> [extra-env...]
+  local desc="$1"; shift
+  local out rc=0
+  out="$(env "$@" "$BIN" --batch=bench1,ex5,t1,ex1010 --threads=4 --json \
+         2>/dev/null)" || rc=$?
+  if [ "$rc" -gt 1 ]; then
+    echo "FAIL [$desc] batch: exit code $rc"
+    fails=$((fails + 1))
+    return
+  fi
+  if ! python3 -c '
+import json, sys
+items = json.loads(sys.argv[1])
+allowed = ("ok", "resource_exhausted", "deadline", "node_budget", "cancelled")
+assert len(items) == 4, items
+for r in items:
+    assert r["status"] in allowed and r["verified"] is True, r
+' "$out"; then
+    echo "FAIL [$desc] batch: unexpected item in: $out"
+    fails=$((fails + 1))
+  fi
+}
+
 for fault in "${FAULTS[@]}"; do
   for inst in bench1 ex5 t1; do
     run_cli "UCP_FAULT=$fault" "$inst" "UCP_FAULT=$fault"
   done
+  run_batch "UCP_FAULT=$fault" "UCP_FAULT=$fault"
 done
 for cap in 1 2 8; do
   for inst in bench1 ex1010; do
     run_cli "UCP_MEM_BUDGET=${cap}MB" "$inst" "UCP_MEM_BUDGET=$cap"
   done
+  run_batch "UCP_MEM_BUDGET=${cap}MB" "UCP_MEM_BUDGET=$cap"
 done
 # The worst case: a spray of denials AND a tight cap at once.
 run_cli "fault+cap" ex1010 "UCP_FAULT=memsched:5:3" "UCP_MEM_BUDGET=2"

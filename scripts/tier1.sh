@@ -2,9 +2,10 @@
 # Tier-1 verification: full build + test suite, a ThreadSanitizer pass over
 # the concurrency-bearing tests (thread pool, parallel multi-start SCG,
 # decomposition-parallel exact solver, cancellation under memory pressure,
-# the portfolio and RWLS fan-out, the batch solver's per-item budgets),
-# then the chaos lane (scripts/chaos.sh): everything re-run under injected
-# OOM schedules and a tight memory cap, asserting graceful degradation.
+# the portfolio and RWLS fan-out, per-instance memory budgets in a parallel
+# map of the pipeline), then the chaos lane (scripts/chaos.sh): everything
+# re-run under injected OOM schedules and a tight memory cap, asserting
+# graceful degradation.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir]
 set -euo pipefail

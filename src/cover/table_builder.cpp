@@ -1,5 +1,6 @@
 #include "cover/table_builder.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -23,6 +24,10 @@ using zdd::ZddManager;
 
 namespace {
 
+/// Prime-count cap of both prime paths: an implicit result above it degrades
+/// to consensus under kAuto, and consensus throws past it.
+constexpr std::size_t kMaxPrimes = 200'000;
+
 std::vector<zdd::LitSpec> cube_spec(const CubeSpace& s, const Cube& c) {
     std::vector<zdd::LitSpec> spec(s.num_inputs, zdd::LitSpec::kDontCare);
     for (std::uint32_t i = 0; i < s.num_inputs; ++i) {
@@ -37,10 +42,52 @@ std::vector<zdd::LitSpec> cube_spec(const CubeSpace& s, const Cube& c) {
     return spec;
 }
 
+/// The implicit phase's class emission order, reproduced on plain signature
+/// vectors: classes split member-first per processed column (ascending), so
+/// the final order compares signatures element-wise ascending with a proper
+/// prefix sorting AFTER its extensions. Both row paths dedupe through this
+/// order, which is what makes their matrices bit-identical.
+struct MemberFirstLess {
+    bool operator()(const std::vector<Index>& a,
+                    const std::vector<Index>& b) const noexcept {
+        const std::size_t n = std::min(a.size(), b.size());
+        for (std::size_t t = 0; t < n; ++t)
+            if (a[t] != b[t]) return a[t] < b[t];
+        return a.size() > b.size();
+    }
+};
+
+/// Single-output primes in the implicit generator's emission order:
+/// ZddManager::for_each_set takes the hi branch first over ascending literal
+/// variables (pos_lit / neg_lit), which is MemberFirstLess over each prime's
+/// variables. Both prime paths then give the table the same column order.
+Cover in_implicit_order(const Cover& primes) {
+    const CubeSpace& s = primes.space();
+    std::vector<std::pair<std::vector<Index>, std::size_t>> keyed;
+    keyed.reserve(primes.size());
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+        std::vector<Index> vars;
+        for (std::uint32_t i = 0; i < s.num_inputs; ++i) {
+            const pla::Lit l = primes[p].in(s, i);
+            if (l == pla::Lit::kOne) vars.push_back(zdd::pos_lit(i));
+            if (l == pla::Lit::kZero) vars.push_back(zdd::neg_lit(i));
+        }
+        keyed.emplace_back(std::move(vars), p);
+    }
+    std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+        return MemberFirstLess{}(a.first, b.first);
+    });
+    Cover out(s);
+    out.reserve(primes.size());
+    for (const auto& kp : keyed) out.add(primes[kp.second]);
+    return out;
+}
+
 /// Multi-output primes of the care function, per the chosen method. Under
 /// kAuto a node-budget trip in the implicit generator degrades to the
-/// consensus path (the prime set of a function is canonical, so the columns
-/// are the same either way).
+/// consensus path (the prime set of a function is canonical, and
+/// in_implicit_order gives it the implicit order, so the columns are the same
+/// either way).
 Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
                       bool& used_implicit) {
     TRACE_SPAN("table.primes");
@@ -62,9 +109,9 @@ Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
             ZddManager zmgr(2 * s.num_inputs, opt.dd);
             const Cover care_in = care.restricted_to_output(0);
             const auto result = primes::implicit_primes(zmgr, care_in, opt.dd);
-            if (result.prime_count > static_cast<double>(opt.max_primes))
+            if (result.prime_count > static_cast<double>(kMaxPrimes))
                 throw ResourceError(Status::kNodeBudget,
-                                    "implicit prime count exceeds max_primes");
+                                    "implicit prime count exceeds the prime cap");
             const Cover in_primes =
                 primes::primes_zdd_to_cover(zmgr, result.primes, s.num_inputs);
 
@@ -92,23 +139,9 @@ Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
     }
 
     used_implicit = false;
-    return primes::primes_by_consensus(care, opt.max_primes);
+    const Cover primes = primes::primes_by_consensus(care, kMaxPrimes);
+    return single_output ? in_implicit_order(primes) : primes;
 }
-
-/// The implicit phase's class emission order, reproduced on plain signature
-/// vectors: classes split member-first per processed column (ascending), so
-/// the final order compares signatures element-wise ascending with a proper
-/// prefix sorting AFTER its extensions. Both row paths dedupe through this
-/// order, which is what makes their matrices bit-identical.
-struct MemberFirstLess {
-    bool operator()(const std::vector<Index>& a,
-                    const std::vector<Index>& b) const noexcept {
-        const std::size_t n = std::min(a.size(), b.size());
-        for (std::size_t t = 0; t < n; ++t)
-            if (a[t] != b[t]) return a[t] < b[t];
-        return a.size() > b.size();
-    }
-};
 
 /// Invokes fn(assignment) for every input minterm of `c` (outputs ignored).
 template <class Fn>

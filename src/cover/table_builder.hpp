@@ -27,7 +27,8 @@ namespace ucp::cover {
 
 enum class PrimeMethod {
     kAuto,       ///< implicit (BDD→ZDD) for single-output, consensus otherwise
-    kConsensus,  ///< explicit iterated consensus (multi-output capable)
+    kConsensus,  ///< explicit iterated consensus (multi-output capable;
+                 ///< single-output primes come in kImplicit's order)
     kImplicit,   ///< Coudert–Madre implicit primes (single-output only)
 };
 
@@ -58,7 +59,6 @@ struct TableBuildOptions {
     PrimeMethod method = PrimeMethod::kAuto;
     RowMethod row_method = RowMethod::kAuto;
     CostModel cost_model = CostModel::kProducts;
-    std::size_t max_primes = 200'000;
     /// Guard corresponding to the paper's MaxR/MaxC decode thresholds; the
     /// builder aborts (throws) if the signature classes exceed this.
     std::size_t max_rows = 50'000;
@@ -94,7 +94,7 @@ struct CoveringTable {
 /// kDeadline/kCancelled from the governor in opt.dd); bad input as
 /// BadInputError. Under PrimeMethod/RowMethod kAuto a governed node-budget
 /// trip degrades gracefully to the explicit (consensus primes + minterm
-/// enumeration) path instead of failing.
+/// enumeration) path instead of failing; both paths build the same matrix.
 CoveringTable build_covering_table(const pla::Pla& pla,
                                    const TableBuildOptions& opt = {});
 

@@ -8,6 +8,12 @@ using pla::Cover;
 
 namespace {
 
+/// Safety bound on each improvement loop.
+constexpr int kMaxLoops = 25;
+/// Strong mode: covers of at most this many cubes get the exact
+/// minimum-subset IRREDUNDANT instead of the greedy one.
+constexpr std::size_t kExactIrredundantMaxCubes = 150;
+
 /// (cube count, literal count) — the paper's primary/secondary cost.
 std::pair<std::size_t, std::size_t> cost_of(const Cover& f) {
     return {f.size(), f.literal_count()};
@@ -18,8 +24,7 @@ std::pair<std::size_t, std::size_t> cost_of(const Cover& f) {
 /// the irredundant union improves the cover. When the candidate pool is
 /// small enough the subset selection is done exactly (covering problem).
 Cover last_gasp(const Cover& f, const pla::Pla& pla,
-                const std::vector<Cover>& offsets,
-                std::size_t exact_max_cubes) {
+                const std::vector<Cover>& offsets) {
     const Cover& dc = pla.dc;
     Cover best = f;
     auto best_cost = cost_of(best);
@@ -28,7 +33,7 @@ Cover last_gasp(const Cover& f, const pla::Pla& pla,
         Cover candidates = expand(reduced, offsets, seed);
         candidates.append(f);
         candidates.remove_single_cube_contained();
-        Cover trial = candidates.size() <= exact_max_cubes
+        Cover trial = candidates.size() <= kExactIrredundantMaxCubes
                           ? irredundant_exact(candidates, pla)
                           : irredundant(candidates, dc);
         const auto c = cost_of(trial);
@@ -55,7 +60,7 @@ EspressoResult espresso(const pla::Pla& pla, const EspressoOptions& opt) {
     f = irredundant(f, pla.dc);
     auto best_cost = cost_of(f);
 
-    for (int loop = 0; loop < opt.max_loops; ++loop) {
+    for (int loop = 0; loop < kMaxLoops; ++loop) {
         ++res.loops;
         Cover trial = reduce_cover(f, pla.dc);
         trial = expand(trial, offsets);
@@ -72,7 +77,7 @@ EspressoResult espresso(const pla::Pla& pla, const EspressoOptions& opt) {
     if (opt.strong) {
         // Exact minimum-subset IRREDUNDANT on the current cover: picks the
         // best selection among the primes EXPAND produced so far.
-        if (f.size() <= opt.exact_irredundant_max_cubes) {
+        if (f.size() <= kExactIrredundantMaxCubes) {
             Cover trial = irredundant_exact(f, pla);
             const auto c = cost_of(trial);
             if (c < best_cost) {
@@ -80,15 +85,14 @@ EspressoResult espresso(const pla::Pla& pla, const EspressoOptions& opt) {
                 best_cost = c;
             }
         }
-        for (int round = 0; round < opt.max_loops; ++round) {
-            Cover trial =
-                last_gasp(f, pla, offsets, opt.exact_irredundant_max_cubes);
+        for (int round = 0; round < kMaxLoops; ++round) {
+            Cover trial = last_gasp(f, pla, offsets);
             const auto c = cost_of(trial);
             if (c < best_cost) {
                 f = std::move(trial);
                 best_cost = c;
                 // A gain re-opens the main loop.
-                for (int loop = 0; loop < opt.max_loops; ++loop) {
+                for (int loop = 0; loop < kMaxLoops; ++loop) {
                     ++res.loops;
                     Cover t2 = reduce_cover(f, pla.dc);
                     t2 = expand(t2, offsets);

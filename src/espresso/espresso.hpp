@@ -21,12 +21,10 @@
 namespace ucp::esp {
 
 struct EspressoOptions {
-    bool strong = false;   ///< enable LAST_GASP + extra iterations
-    int max_loops = 25;    ///< safety bound on the improvement loop
-    /// Strong mode only: replace the greedy IRREDUNDANT of the final cover by
-    /// an exact minimum-subset selection (covering problem solved by
-    /// branch-and-bound) when the cover has at most this many cubes.
-    std::size_t exact_irredundant_max_cubes = 150;
+    /// Enable LAST_GASP + extra iterations, and replace the greedy
+    /// IRREDUNDANT of small covers by an exact minimum-subset selection
+    /// (covering problem solved by branch-and-bound).
+    bool strong = false;
 };
 
 struct EspressoResult {

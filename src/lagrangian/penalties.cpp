@@ -16,16 +16,16 @@ using cov::SubMatrix;
 
 namespace {
 
-double effective_bound(double v, bool integer_costs) {
-    return integer_costs ? std::ceil(v - 1e-6) : v;
-}
+/// Costs are integral, so a bound v proves ⌈v⌉ (with a tolerance for the
+/// floating-point bound).
+double effective_bound(double v) { return std::ceil(v - 1e-6); }
 
 }  // namespace
 
 template <class Matrix>
 PenaltyResult lagrangian_penalties(const Matrix& a,
                                    const std::vector<double>& ctilde, double z_lp,
-                                   Cost z_best, bool integer_costs) {
+                                   Cost z_best) {
     UCP_REQUIRE(ctilde.size() == a.num_cols(), "ctilde size mismatch");
     TRACE_SPAN("penalties.lagrangian");
     PenaltyResult out;
@@ -34,11 +34,11 @@ PenaltyResult lagrangian_penalties(const Matrix& a,
         if (!a.col_alive(j)) continue;
         if (ctilde[j] <= 0.0) {
             // (3): forcing p_j = 0 costs at least z_LP − c̃_j.
-            if (effective_bound(z_lp - ctilde[j], integer_costs) >= zb)
+            if (effective_bound(z_lp - ctilde[j]) >= zb)
                 out.fix_to_one.push_back(j);
         } else {
             // (4): forcing p_j = 1 costs at least z_LP + c̃_j.
-            if (effective_bound(z_lp + ctilde[j], integer_costs) >= zb)
+            if (effective_bound(z_lp + ctilde[j]) >= zb)
                 out.fix_to_zero.push_back(j);
         }
     }
@@ -46,14 +46,14 @@ PenaltyResult lagrangian_penalties(const Matrix& a,
 }
 
 template PenaltyResult lagrangian_penalties<CoverMatrix>(
-    const CoverMatrix&, const std::vector<double>&, double, Cost, bool);
+    const CoverMatrix&, const std::vector<double>&, double, Cost);
 template PenaltyResult lagrangian_penalties<SubMatrix>(
-    const SubMatrix&, const std::vector<double>&, double, Cost, bool);
+    const SubMatrix&, const std::vector<double>&, double, Cost);
 
 template <class Matrix>
 PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
                              Cost z_best, const std::vector<double>& warm,
-                             std::size_t max_cols, bool integer_costs) {
+                             std::size_t max_cols) {
     TRACE_SPAN("penalties.dual");
     PenaltyResult out;
     const Index C = a.num_cols();
@@ -74,7 +74,7 @@ PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
             cost[j] = std::numeric_limits<double>::infinity();
             const double w = dual_ascent(a, ws, warm, cost).value;
             cost[j] = cj;
-            if (effective_bound(w, integer_costs) >= zb) {
+            if (effective_bound(w) >= zb) {
                 out.fix_to_one.push_back(j);
                 continue;
             }
@@ -86,7 +86,7 @@ PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
             cost[j] = 0.0;
             const double w = dual_ascent(a, ws, warm, cost).value + cj;
             cost[j] = cj;
-            if (effective_bound(w, integer_costs) >= zb)
+            if (effective_bound(w) >= zb)
                 out.fix_to_zero.push_back(j);
         }
     }
@@ -95,16 +95,16 @@ PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
 
 template PenaltyResult dual_penalties<CoverMatrix>(
     const CoverMatrix&, LagrangianWorkspace&, Cost, const std::vector<double>&,
-    std::size_t, bool);
+    std::size_t);
 template PenaltyResult dual_penalties<SubMatrix>(
     const SubMatrix&, LagrangianWorkspace&, Cost, const std::vector<double>&,
-    std::size_t, bool);
+    std::size_t);
 
 PenaltyResult dual_penalties(const CoverMatrix& a, Cost z_best,
                              const std::vector<double>& warm,
-                             std::size_t max_cols, bool integer_costs) {
+                             std::size_t max_cols) {
     LagrangianWorkspace ws;
-    return dual_penalties(a, ws, z_best, warm, max_cols, integer_costs);
+    return dual_penalties(a, ws, z_best, warm, max_cols);
 }
 
 std::vector<Index> limit_bound_removals(const CoverMatrix& a,

@@ -28,13 +28,13 @@ struct PenaltyResult {
 
 /// Lagrangian penalties from a Lagrangian point. `z_lp` is z_LP(λ) (the
 /// fractional bound), `ctilde` the Lagrangian costs at λ, `z_best` the
-/// incumbent value. With integer costs the comparisons use ⌈·⌉.
+/// incumbent value. Costs are integral, so the comparisons use ⌈·⌉.
 /// `Matrix` is CoverMatrix or SubMatrix (only alive columns are probed;
 /// returned indices are base indices).
 template <class Matrix>
 PenaltyResult lagrangian_penalties(const Matrix& a,
                                    const std::vector<double>& ctilde, double z_lp,
-                                   cov::Cost z_best, bool integer_costs = true);
+                                   cov::Cost z_best);
 
 /// Dual penalties via dual-ascent re-runs. Probes every (alive) column when
 /// the live column count is ≤ max_cols (the paper's DualPen = 100 guard),
@@ -44,14 +44,12 @@ template <class Matrix>
 PenaltyResult dual_penalties(const Matrix& a, LagrangianWorkspace& ws,
                              cov::Cost z_best,
                              const std::vector<double>& warm = {},
-                             std::size_t max_cols = 100,
-                             bool integer_costs = true);
+                             std::size_t max_cols = 100);
 
 /// Convenience overload with a throwaway workspace.
 PenaltyResult dual_penalties(const cov::CoverMatrix& a, cov::Cost z_best,
                              const std::vector<double>& warm = {},
-                             std::size_t max_cols = 100,
-                             bool integer_costs = true);
+                             std::size_t max_cols = 100);
 
 /// The classical limit-bound theorem (Theorem 2), kept as a baseline for the
 /// Proposition 3 experiments: given an independent set's bound LB_mis,

@@ -19,6 +19,11 @@ using cov::SubMatrix;
 
 namespace {
 
+// Stopping rules of paper §3.2: the step coefficient t_k fell below t_min, or
+// the gap UB − z_λ closed below δ.
+constexpr double kTMin = 0.005;
+constexpr double kDelta = 1e-3;
+
 /// z_LP(λ) for a given λ; fills ws.ctilde (c − A'λ, defined on alive
 /// columns) and ws.p (p*_j = [c̃_j ≤ 0], exactly 0 on dead columns).
 /// `cost_d` caches the alive column costs as doubles (ws.orig_cost).
@@ -203,8 +208,7 @@ SubgradientResult subgradient_ascent(const Matrix& a, LagrangianWorkspace& ws,
                    trace::dd_cache_hit_rate());
 
         // ---- termination tests ---------------------------------------------------
-        if (opt.integer_costs &&
-            out.best_cost <= ceil_int(lb_best)) {  // ⌈LB⌉ proves optimality
+        if (out.best_cost <= ceil_int(lb_best)) {  // ⌈LB⌉ proves optimality
             out.proved_optimal = true;
             break;
         }
@@ -212,8 +216,8 @@ SubgradientResult subgradient_ascent(const Matrix& a, LagrangianWorkspace& ws,
         // bound when available (paper §3.3).
         double ub_est = static_cast<double>(out.best_cost);
         if (opt.use_dual_lagrangian) ub_est = std::min(ub_est, w_ld_best);
-        if (ub_est - z < opt.delta) break;
-        if (t < opt.t_min) break;
+        if (ub_est - z < kDelta) break;
+        if (t < kTMin) break;
 
         // ---- λ update, formula (2) -------------------------------------------------
         fit(ws.s, R);
@@ -274,10 +278,9 @@ SubgradientResult subgradient_ascent(const Matrix& a, LagrangianWorkspace& ws,
         out.lagrangian_costs.assign(ws.ctilde.begin(), ws.ctilde.end());
     }
     out.lb_fractional = std::max(lb_best, 0.0);
-    out.lb = opt.integer_costs ? ceil_int(out.lb_fractional)
-                               : static_cast<Cost>(out.lb_fractional);
+    out.lb = ceil_int(out.lb_fractional);
     out.w_ld_best = w_ld_best;
-    if (opt.integer_costs && out.best_cost <= out.lb) out.proved_optimal = true;
+    if (out.best_cost <= out.lb) out.proved_optimal = true;
     static stats::Counter& c_calls = stats::counter("subgradient.calls");
     static stats::Counter& c_iters = stats::counter("subgradient.iterations");
     c_calls.add();

@@ -27,13 +27,10 @@ namespace ucp::lagr {
 
 struct SubgradientOptions {
     double t0 = 2.0;           ///< initial step coefficient t_k
-    double t_min = 0.005;      ///< stop when t_k < t_min (paper §3.2)
     int halve_after = 15;      ///< N_t: halve t_k after this many non-improving steps
-    double delta = 1e-3;       ///< stop when UB − z_λ < δ (relative)
     int max_iterations = 600;
     int heuristic_period = 15; ///< run the greedy heuristics every k iterations
     bool use_dual_lagrangian = true;  ///< maintain µ via (LD); off = primal only
-    bool integer_costs = true;       ///< enables the ⌈LB⌉ = z_best optimality proof
     bool record_trace = false;       ///< fill SubgradientResult::trace
     /// Optional resource governor. Each iteration is charged against it; a
     /// trip (deadline/cancel/iteration cap) breaks the loop and the result
@@ -56,7 +53,7 @@ struct SubgradientResult {
     std::vector<double> lambda;  ///< best primal multipliers found
     std::vector<double> mu;      ///< best dual-Lagrangian multipliers (column side)
     double lb_fractional = 0.0;  ///< best z_LP(λ) seen
-    cov::Cost lb = 0;            ///< ⌈lb_fractional⌉ for integer costs
+    cov::Cost lb = 0;            ///< ⌈lb_fractional⌉ (costs are integral)
     std::vector<cov::Index> best_solution;  ///< best feasible solution found
     cov::Cost best_cost = 0;
     std::vector<double> lagrangian_costs;  ///< c̃ at the best λ

@@ -116,10 +116,7 @@ void run_fixpoint(SubMatrix& v, Worklists& q, const ReduceOptions& opt,
     std::vector<char> to_remove_r, to_remove_c, cand_hit;
 
     while (true) {
-        const bool ess_work = opt.essential && !q.ess.empty();
-        const bool rd_work = opt.row_dominance && !q.rowdom.empty();
-        const bool cd_work = opt.col_dominance && !q.coldom.empty();
-        if (!ess_work && !rd_work && !cd_work) break;
+        if (q.ess.empty() && q.rowdom.empty() && q.coldom.empty()) break;
         TRACE_SPAN_ITER("reduce.pass");
         ++res.passes;
 
@@ -127,7 +124,7 @@ void run_fixpoint(SubMatrix& v, Worklists& q, const ReduceOptions& opt,
         // A single ascending sweep suffices: fixing a column kills every row
         // it covers, so no surviving row's live count drops — essentials
         // never cascade inside the phase.
-        if (ess_work) {
+        if (!q.ess.empty()) {
             sweep.assign(q.ess.begin(), q.ess.end());
             q.ess.clear();
             std::sort(sweep.begin(), sweep.end());
@@ -155,7 +152,7 @@ void run_fixpoint(SubMatrix& v, Worklists& q, const ReduceOptions& opt,
         }
 
         // --- row dominance: drop rows whose column set is a superset ---------
-        if (opt.row_dominance && !q.rowdom.empty()) {
+        if (!q.rowdom.empty()) {
             if (v.num_live_rows() > opt.max_dominance_rows) {
                 // Pass skipped: the view may retain dominated rows (surfaced
                 // via dominance_skipped). The pending dirt is dropped — the
@@ -252,7 +249,7 @@ void run_fixpoint(SubMatrix& v, Worklists& q, const ReduceOptions& opt,
         }
 
         // --- column dominance: drop columns covered by a cheaper/equal peer --
-        if (opt.col_dominance && !q.coldom.empty()) {
+        if (!q.coldom.empty()) {
             if (v.num_live_cols() > opt.max_dominance_cols) {
                 res.dominance_skipped = true;
                 c_skips.add();

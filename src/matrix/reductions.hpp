@@ -30,9 +30,6 @@ enum class BitsetMode {
 };
 
 struct ReduceOptions {
-    bool essential = true;
-    bool row_dominance = true;
-    bool col_dominance = true;
     /// Safety valve for the O(n²) dominance passes on huge matrices.
     std::size_t max_dominance_rows = 200000;
     std::size_t max_dominance_cols = 200000;
@@ -104,9 +101,9 @@ struct InplaceReduceResult {
 /// view was at a fixpoint before the changes described by `dirt`, the final
 /// alive set is identical to a full re-reduction; seeding every alive
 /// row/column reproduces a full reduction outright (that is what reduce()
-/// does). Columns left covering no alive row are removed only when
-/// opt.col_dominance is on — callers needing the classical core must sweep
-/// them like reduce() does.
+/// does). Columns left covering no alive row are removed by the
+/// column-dominance pass unless max_dominance_cols skips it — callers needing
+/// the classical core must sweep them like reduce() does.
 InplaceReduceResult reduce_inplace(SubMatrix& view, const ReduceDirt& dirt,
                                    const ReduceOptions& opt = {});
 

@@ -370,8 +370,7 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
             // Penalty tests prove columns in / out of improving completions.
             if (opt.use_lagrangian_penalties) {
                 const auto pen = lagr::lagrangian_penalties(
-                    w.view, sub.lagrangian_costs, sub.lb_fractional, local_target,
-                    opt.subgradient.integer_costs);
+                    w.view, sub.lagrangian_costs, sub.lb_fractional, local_target);
                 for (const Index j : pen.fix_to_one) mark_fix(j);
                 for (const Index j : pen.fix_to_zero) mark_remove(j);
                 out.columns_fixed_by_penalties += pen.fix_to_one.size();
@@ -380,8 +379,7 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
             if (opt.use_dual_penalties &&
                 w.view.num_live_cols() <= kDualPenMaxCols) {
                 const auto pen = lagr::dual_penalties(
-                    w.view, ws, local_target, sub.lambda, kDualPenMaxCols,
-                    opt.subgradient.integer_costs);
+                    w.view, ws, local_target, sub.lambda, kDualPenMaxCols);
                 for (const Index j : pen.fix_to_one) mark_fix(j);
                 for (const Index j : pen.fix_to_zero) mark_remove(j);
                 out.columns_fixed_by_penalties += pen.fix_to_one.size();

@@ -149,7 +149,7 @@ TwoLevelResult minimize_two_level(const pla::Pla& pla,
     res.cover = cover::solution_to_cover(table, solution);
     res.cost = static_cast<Cost>(res.cover.size());
     res.literals = res.cover.literal_count();
-    if (opt.verify) res.verified = verify_equivalence(pla, res.cover);
+    res.verified = verify_equivalence(pla, res.cover);
     res.total_seconds = total.seconds();
     return res;
 }

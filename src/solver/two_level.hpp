@@ -27,9 +27,6 @@ struct TwoLevelOptions {
     CoverSolver cover_solver = CoverSolver::kScg;
     ScgOptions scg{};
     BnbOptions bnb{};
-    /// URP equivalence check of the result against the specification
-    /// (ON ≤ result + DC and result ≤ ON + DC).
-    bool verify = true;
     /// Resource limits for the whole pipeline. minimize_two_level constructs
     /// one Budget from these and threads it through the table build, the DD
     /// managers and the covering solver. A node-budget trip silently degrades
@@ -51,7 +48,9 @@ struct TwoLevelResult {
     cov::Cost weighted_cost = 0;
     cov::Cost weighted_lower_bound = 0;
     bool proved_optimal = false;
-    bool verified = false;            ///< equivalence check result (if run)
+    /// URP equivalence check of the cover against the specification
+    /// (ON ≤ cover + DC and cover ≤ ON + DC); every solve runs it.
+    bool verified = false;
     std::size_t num_primes = 0;
     std::size_t num_rows = 0;         ///< signature classes (decoded rows)
     double onset_minterms = 0.0;

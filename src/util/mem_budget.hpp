@@ -2,18 +2,18 @@
 //
 // A MemoryBudget answers one question — "may I keep these bytes?" — for
 // every long-lived allocation in the library: DD arenas, unique tables,
-// computed caches, CSR matrices, Lagrangian/BnB workspaces, batch
-// per-instance state. Holders charge *capacity* growth at their reservation
-// points (a MemTracker syncs the delta) and release on shrink/destruction,
-// so `used()` tracks reserved footprint, not malloc traffic, and the hot
-// path stays two relaxed atomic RMWs.
+// computed caches, CSR matrices, Lagrangian/BnB workspaces. Holders charge
+// *capacity* growth at their reservation points (a MemTracker syncs the
+// delta) and release on shrink/destruction, so `used()` tracks reserved
+// footprint, not malloc traffic, and the hot path stays two relaxed atomic
+// RMWs.
 //
 // Accountants form a tree: a child charges itself first, then its parent,
 // and rolls its own charge back if any ancestor denies — so a per-solve
-// sub-cap composes with a process-wide cap (BatchSolver's per-item
-// isolation). cap_bytes == 0 means "unlimited": the accountant
-// still counts (high-water reporting, fault injection) but never denies on
-// its own.
+// sub-cap composes with a process-wide cap (one child per instance isolates
+// the instances of a batch). cap_bytes == 0 means "unlimited": the
+// accountant still counts (high-water reporting, fault injection) but never
+// denies on its own.
 //
 // try_charge() never throws and never allocates; denial is a *signal*, not
 // an error — the caller walks its degradation ladder (shed caches, force a

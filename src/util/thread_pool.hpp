@@ -12,9 +12,9 @@
 //     every binary gets a thread knob without plumbing a flag through.
 //
 // parallel_map() is the one fan-out every independent-task layer uses (SCG
-// multi-start, the portfolio's RWLS polish, BatchSolver): results land in
-// per-index slots, so the answer is bit-identical for any thread count as
-// long as each task depends only on its index.
+// multi-start, the portfolio's RWLS polish, a batch of pipeline runs):
+// results land in per-index slots, so the answer is bit-identical for any
+// thread count as long as each task depends only on its index.
 #pragma once
 
 #include <condition_variable>

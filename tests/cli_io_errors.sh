@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regression: minimize_pla must turn filesystem failures into diagnostics +
 # exit code 2 (and a {"status": ...} document in --json mode), never an
-# uncaught exception or a silent success. Registered as the ctest
-# `test_cli_io_errors`; $1 is the minimize_pla binary.
+# uncaught exception or a silent success; a --batch run reports what the
+# single-instance runs report. Registered as the ctest `test_cli_io_errors`;
+# $1 is the minimize_pla binary.
 set -u
 
 BIN="${1:?usage: cli_io_errors.sh <minimize_pla>}"
@@ -67,6 +68,26 @@ expect_status writable-out ok "$TMP/out"
 "$BIN" --batch=bench1 "$TMP/missing.pla" --json >"$TMP/out" 2>/dev/null; rc=$?
 check batch-unreadable 2 $rc
 expect_status batch-unreadable io_error "$TMP/out"
+
+# Control: a --batch run exits 0 with a JSON array holding, per instance, the
+# object a single --instance run prints (plus its "instance" name).
+"$BIN" --batch=bench1,ex5 --json >"$TMP/batch" 2>/dev/null; rc=$?
+check batch-ok 0 $rc
+head -n 1 "$TMP/batch" | grep -q '^\[' || {
+  echo "FAIL batch-ok: not a JSON array: $(cat "$TMP/batch")"
+  fails=$((fails + 1)); }
+for inst in bench1 ex5; do
+  "$BIN" --instance="$inst" --json >"$TMP/one" 2>/dev/null
+  item="$(grep "\"instance\": \"$inst\"" "$TMP/batch")"
+  for field in status products literals lower_bound; do
+    want="$(grep -o "\"$field\": [^,}]*" "$TMP/one")"
+    case "$item" in
+      *"$want"*) [ -n "$want" ] && continue ;;
+    esac
+    echo "FAIL batch-ok: $inst has no '$want' (single run) in: $item"
+    fails=$((fails + 1))
+  done
+done
 
 if [ "$fails" -ne 0 ]; then
   echo "$fails check(s) failed"

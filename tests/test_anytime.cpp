@@ -11,6 +11,7 @@
 #include "cover/table_builder.hpp"
 #include "gen/pla_gen.hpp"
 #include "gen/scp_gen.hpp"
+#include "gen/suites.hpp"
 #include "solver/bnb.hpp"
 #include "solver/scg.hpp"
 #include "solver/two_level.hpp"
@@ -281,19 +282,27 @@ TEST(Anytime, NodeBudgetFallbackMatrixIsBitIdentical) {
 }
 
 TEST(Anytime, NodeBudgetTripStillSolvesToCompletion) {
+    std::vector<Pla> plas;
     ucp::Rng seeds(7667);
-    for (int trial = 0; trial < 3; ++trial) {
-        const Pla p = random_pla(seeds());
+    for (int trial = 0; trial < 3; ++trial) plas.push_back(random_pla(seeds()));
+    // Single-output rows: the fallback's consensus primes must reach the
+    // covering table in the implicit generator's order.
+    for (const char* name : {"bench1", "ex1010"})
+        plas.push_back(ucp::gen::instance_by_name(name));
+    for (std::size_t t = 0; t < plas.size(); ++t) {
+        SCOPED_TRACE("input " + std::to_string(t));
         TwoLevelOptions governed;
         governed.budget.zdd_node_budget = 1;
-        const auto r = minimize_two_level(p, governed);
-        const auto ref = minimize_two_level(p);
+        const auto r = minimize_two_level(plas[t], governed);
+        const auto ref = minimize_two_level(plas[t]);
         // The node budget only redirects *how* the table is built — the
         // answers must be identical to the unbudgeted run.
         EXPECT_EQ(r.status, Status::kOk);
         EXPECT_TRUE(r.verified);
         EXPECT_EQ(r.cost, ref.cost);
+        EXPECT_EQ(r.literals, ref.literals);
         EXPECT_EQ(r.lower_bound, ref.lower_bound);
+        EXPECT_EQ(r.cover.to_string(), ref.cover.to_string());
     }
 }
 

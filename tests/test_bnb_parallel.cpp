@@ -98,7 +98,7 @@ TEST(BnbParallel, AllBoundsAgreeUnderDecomposition) {
          {ucp::solver::BnbBound::kMis, ucp::solver::BnbBound::kDualAscent,
           ucp::solver::BnbBound::kLagrangian, ucp::solver::BnbBound::kLp,
           ucp::solver::BnbBound::kIncrementalMis}) {
-        for (const int threads : {1, 4}) {
+        for (const int threads : {1, 2, 4}) {
             BnbOptions opt;
             opt.bound = bound;
             opt.num_threads = threads;

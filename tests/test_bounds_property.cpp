@@ -2,17 +2,25 @@
 // bound chain LB_MIS ≤ LB_DA ≤ z*_P and LB_Lagr ≤ z*_P ≤ z*_UCP holds, dual
 // ascent dominates MIS, uniform costs collapse DA to MIS-strength, and every
 // bound is sound against the exact optimum. Parameterised over densities and
-// cost ranges (paper: uniform costs are the common VLSI case).
+// cost ranges (paper: uniform costs are the common VLSI case). On the
+// unicost-suite rows B&B proves, the optimum brackets every solver's cover
+// and bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "gen/scp_gen.hpp"
+#include "gen/suites.hpp"
 #include "lagrangian/dual_ascent.hpp"
 #include "lagrangian/subgradient.hpp"
 #include "lp/simplex.hpp"
 #include "solver/bnb.hpp"
+#include "solver/greedy.hpp"
+#include "solver/portfolio.hpp"
+#include "solver/scg.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -141,6 +149,49 @@ TEST(BoundChain, CyclicFamilyLpEqualsNOverK) {
             EXPECT_EQ(exact.cost, static_cast<Cost>((n + k - 1) / k));
         }
     }
+}
+
+// Cross-solver brackets on the unicost-suite instances B&B proves within
+// milliseconds: every heuristic's cover costs at least the optimum, and the
+// optimum is at least every lower bound the solvers report.
+TEST(CrossSolverBounds, ProvedOptimumBracketsEverySolver) {
+    const std::map<std::string, Cost> optimum = {{"u120x60k3", 23},
+                                                 {"sts15", 9},
+                                                 {"sts27", 17},
+                                                 {"cyc60.7", 9},
+                                                 {"cyc90.8", 12}};
+    std::size_t checked = 0;
+    for (const auto& entry : ucp::gen::unicost_suite()) {
+        const auto want = optimum.find(entry.name);
+        if (want == optimum.end()) continue;
+        ++checked;
+        SCOPED_TRACE(entry.name);
+        const CoverMatrix& m = entry.matrix;
+
+        ucp::solver::BnbOptions bopt;
+        bopt.num_threads = 4;
+        const auto exact = ucp::solver::solve_exact(m, bopt);
+        ASSERT_TRUE(exact.optimal);
+        ASSERT_EQ(exact.cost, want->second);
+        const Cost opt = exact.cost;
+
+        const auto greedy = ucp::solver::chvatal_greedy(m);
+        const auto scg = ucp::solver::solve_scg(m);
+        const auto portfolio = ucp::solver::solve_portfolio(m);
+        EXPECT_TRUE(m.is_feasible(greedy.solution));
+        EXPECT_TRUE(m.is_feasible(scg.solution));
+        EXPECT_TRUE(m.is_feasible(portfolio.solution));
+        EXPECT_GE(greedy.cost, opt);
+        EXPECT_GE(scg.cost, opt);
+        EXPECT_GE(portfolio.cost, opt);
+
+        EXPECT_LE(scg.lower_bound, opt);
+        EXPECT_LE(portfolio.lower_bound, opt);
+        EXPECT_LE(ucp::lagr::dual_ascent(m).value,
+                  static_cast<double>(opt) + 1e-9);
+        EXPECT_LE(ucp::lagr::mis_lower_bound(m).bound, opt);
+    }
+    EXPECT_EQ(checked, optimum.size());
 }
 
 }  // namespace

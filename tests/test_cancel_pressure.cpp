@@ -8,15 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "gen/scp_gen.hpp"
-#include "solver/batch.hpp"
+#include "gen/suites.hpp"
 #include "solver/bnb.hpp"
+#include "solver/two_level.hpp"
 #include "util/budget.hpp"
 #include "util/fault.hpp"
 #include "util/mem_budget.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -37,6 +40,7 @@ using ucp::cov::Cost;
 using ucp::cov::Index;
 using ucp::solver::BnbOptions;
 using ucp::solver::solve_exact;
+using ucp::solver::TwoLevelOptions;
 
 CoverMatrix hard_instance(std::uint64_t seed) {
     ucp::gen::RandomScpOptions g;
@@ -116,28 +120,39 @@ TEST(CancelPressure, CancelRacesAllocationFailureWithoutHanging) {
     }
 }
 
-TEST(CancelPressure, BatchSolverDrainsUnderPerItemStarvation) {
-    std::vector<CoverMatrix> batch;
-    for (std::uint64_t seed = 1; seed <= 6; ++seed)
-        batch.push_back(hard_instance(seed));
-    ucp::solver::BatchOptions opt;
-    opt.num_threads = 4;
-    opt.mem_budget_per_item = 4u << 10;  // starve every non-trivial core
-    const auto res = ucp::solver::BatchSolver(opt).solve(batch);
-    ASSERT_EQ(res.items.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_TRUE(batch[i].is_feasible(res.items[i].solution)) << i;
-        EXPECT_TRUE(res.items[i].status == Status::kOk ||
-                    res.items[i].status == Status::kResourceExhausted)
-            << i;
+TEST(CancelPressure, ParallelMapDrainsUnderPerInstanceStarvation) {
+    std::vector<ucp::pla::Pla> plas;
+    for (const char* name : {"ti", "ex4", "pdc", "ex5", "t1"})
+        plas.push_back(ucp::gen::instance_by_name(name));
+    // One parallel map of the pipeline, every instance under its own 4 KB
+    // accountant: starves every non-trivial instance.
+    const auto run = [&](int threads) {
+        std::vector<std::unique_ptr<MemoryBudget>> mems(plas.size());
+        auto res = ucp::parallel_map(plas.size(), threads, [&](std::size_t i) {
+            mems[i] = std::make_unique<MemoryBudget>(4u << 10, nullptr,
+                                                     ucp::fault::Spec{});
+            TwoLevelOptions tl;
+            tl.budget.memory = mems[i].get();
+            return ucp::solver::minimize_two_level(plas[i], tl);
+        });
+        for (std::size_t i = 0; i < plas.size(); ++i)
+            EXPECT_EQ(mems[i]->used(), 0u) << plas[i].name;  // ledger balanced
+        return res;
+    };
+    const auto res = run(4);
+    ASSERT_EQ(res.size(), plas.size());
+    for (std::size_t i = 0; i < plas.size(); ++i) {
+        EXPECT_TRUE(res[i].verified) << plas[i].name;
+        EXPECT_TRUE(res[i].status == Status::kOk ||
+                    res[i].status == Status::kResourceExhausted)
+            << plas[i].name;
     }
     // Thread count must not change what degrades or what it degrades to.
-    ucp::solver::BatchOptions serial = opt;
-    serial.num_threads = 1;
-    const auto ref = ucp::solver::BatchSolver(serial).solve(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(res.items[i].solution, ref.items[i].solution) << i;
-        EXPECT_EQ(res.items[i].status, ref.items[i].status) << i;
+    const auto ref = run(1);
+    for (std::size_t i = 0; i < plas.size(); ++i) {
+        EXPECT_EQ(res[i].cover.to_string(), ref[i].cover.to_string())
+            << plas[i].name;
+        EXPECT_EQ(res[i].status, ref[i].status) << plas[i].name;
     }
 }
 

@@ -10,13 +10,13 @@
 #include <vector>
 
 #include "gen/pla_gen.hpp"
-#include "gen/scp_gen.hpp"
-#include "solver/batch.hpp"
+#include "gen/suites.hpp"
 #include "solver/two_level.hpp"
 #include "util/budget.hpp"
 #include "util/fault.hpp"
 #include "util/mem_budget.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -37,6 +37,7 @@ using ucp::Status;
 using ucp::fault::Spec;
 using ucp::solver::minimize_two_level;
 using ucp::solver::TwoLevelOptions;
+using ucp::solver::TwoLevelResult;
 
 Spec no_fault() { return Spec{}; }
 
@@ -285,70 +286,65 @@ TEST(MemLadder, GenerousCapMatchesUngovernedResult) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch per-item isolation: one starved item degrades, the rest are exact,
-// and the batch is a parallel map of solve_one at any thread count.
+// Per-instance isolation: a parallel map of the pipeline in which every
+// instance charges its own capped accountant. A starved instance degrades
+// alone, and every slot equals the serial call at any thread count.
 
-TEST(MemLadder, BatchPerItemCapIsolatesDegradation) {
-    std::vector<ucp::cov::CoverMatrix> batch;
-    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-        ucp::gen::RandomScpOptions g;
-        g.rows = 60;
-        g.cols = 80;
-        g.density = 0.08;
-        g.min_cost = 1;
-        g.max_cost = 4;
-        g.seed = seed;
-        batch.push_back(ucp::gen::random_scp(g));
-    }
-    ucp::solver::BatchOptions ref;
-    const auto want = ucp::solver::BatchSolver(ref).solve(batch);
+TwoLevelResult minimize_capped(const ucp::pla::Pla& pla, std::size_t cap) {
+    MemoryBudget mem(cap, nullptr, no_fault());
+    TwoLevelOptions tl;
+    tl.budget.memory = &mem;
+    return minimize_two_level(pla, tl);
+}
 
-    ucp::solver::BatchOptions opt;
-    opt.mem_budget_per_item = 4u << 10;  // 4 KB: every core charge is denied
-    const auto got = ucp::solver::BatchSolver(opt).solve(batch);
-    ASSERT_EQ(got.items.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        const auto& it = got.items[i];
-        EXPECT_TRUE(batch[i].is_feasible(it.solution)) << i;
-        EXPECT_TRUE(it.status == Status::kOk ||
-                    it.status == Status::kResourceExhausted)
-            << i;
-        if (it.status == Status::kResourceExhausted) {
-            // Degraded to greedy: still feasible, never better than exact.
-            EXPECT_GE(it.cost, want.items[i].cost) << i;
-            EXPECT_FALSE(it.proved_optimal) << i;
+void expect_same_answer(const TwoLevelResult& got, const TwoLevelResult& want) {
+    EXPECT_EQ(got.cover.to_string(), want.cover.to_string());
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.literals, want.literals);
+    EXPECT_EQ(got.lower_bound, want.lower_bound);
+    EXPECT_EQ(got.proved_optimal, want.proved_optimal);
+    EXPECT_EQ(got.verified, want.verified);
+    EXPECT_EQ(got.status, want.status);
+}
+
+TEST(MemLadder, PerInstanceCapIsolatesDegradation) {
+    std::vector<ucp::pla::Pla> plas;
+    for (const char* name : {"ti", "pdc", "ex5"})
+        plas.push_back(ucp::gen::instance_by_name(name));
+    // 64 KB: ti and pdc fit after shedding, ex5's table charge is denied.
+    constexpr std::size_t kCap = 64u << 10;
+
+    std::vector<TwoLevelResult> serial;
+    std::size_t kept = 0, degraded = 0;
+    for (const auto& pla : plas) {
+        SCOPED_TRACE(pla.name);
+        serial.push_back(minimize_capped(pla, kCap));
+        const TwoLevelResult& r = serial.back();
+        const TwoLevelResult uncapped = minimize_two_level(pla);
+        EXPECT_TRUE(r.verified);
+        if (r.status == Status::kOk) {
+            ++kept;
+            expect_same_answer(r, uncapped);
+        } else {
+            // Degraded to the greedy cover: verified, never better.
+            ++degraded;
+            EXPECT_EQ(r.status, Status::kResourceExhausted);
+            EXPECT_GE(r.cost, uncapped.cost);
+            EXPECT_FALSE(r.proved_optimal);
         }
     }
-    // A cap this small must actually starve the non-trivial cores.
-    std::size_t degraded = 0;
-    for (const auto& it : got.items)
-        if (it.status == Status::kResourceExhausted) ++degraded;
+    EXPECT_GT(kept, 0u);
     EXPECT_GT(degraded, 0u);
 
-    // Every slot of the batch equals solve_one under the same options, field
-    // for field, with and without the per-item cap and at every thread count.
-    for (const std::size_t cap : {std::size_t{0}, std::size_t{4u << 10}}) {
-        for (const int threads : {1, 2, 4}) {
-            ucp::solver::BatchOptions o;
-            o.mem_budget_per_item = cap;
-            o.num_threads = threads;
-            const auto res = ucp::solver::BatchSolver(o).solve(batch);
-            ASSERT_EQ(res.items.size(), batch.size());
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-                SCOPED_TRACE("cap " + std::to_string(cap) + ", threads " +
-                             std::to_string(threads) + ", item " +
-                             std::to_string(i));
-                const auto one = ucp::solver::BatchSolver::solve_one(batch[i], o);
-                const auto& it = res.items[i];
-                EXPECT_EQ(one.solution, it.solution);
-                EXPECT_EQ(one.cost, it.cost);
-                EXPECT_EQ(one.lower_bound, it.lower_bound);
-                EXPECT_EQ(one.proved_optimal, it.proved_optimal);
-                EXPECT_EQ(one.status, it.status);
-                EXPECT_EQ(one.core_rows, it.core_rows);
-                EXPECT_EQ(one.core_cols, it.core_cols);
-                EXPECT_EQ(one.scg_runs, it.scg_runs);
-            }
+    for (const int threads : {1, 2, 4}) {
+        const auto got = ucp::parallel_map(
+            plas.size(), threads,
+            [&](std::size_t i) { return minimize_capped(plas[i], kCap); });
+        ASSERT_EQ(got.size(), plas.size());
+        for (std::size_t i = 0; i < plas.size(); ++i) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + ", " +
+                         plas[i].name);
+            expect_same_answer(got[i], serial[i]);
         }
     }
 }

@@ -36,7 +36,7 @@ TEST(ParallelScg, IdenticalResultAcrossThreadCounts) {
         opt.num_starts = 8;
 
         std::vector<ScgResult> results;
-        for (const int threads : {1, 2, 8}) {
+        for (const int threads : {1, 2, 4, 8}) {
             opt.num_threads = threads;
             results.push_back(solve_scg(m, opt));
         }

@@ -63,7 +63,7 @@ TEST(Portfolio, DeterministicAcrossThreadCounts) {
 
     PortfolioResult ref;
     bool have_ref = false;
-    for (const int threads : {1, 2, 8}) {
+    for (const int threads : {1, 2, 4, 8}) {
         opt.num_threads = threads;
         opt.scg.num_threads = threads;
         const PortfolioResult r = solve_portfolio(m, opt);
