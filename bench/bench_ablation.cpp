@@ -140,6 +140,7 @@ int main(int argc, char** argv) {
             ucp::solver::ScgOptions opt;
             opt.num_starts = starts;
             opt.num_threads = threads;  // 0 = auto (UCP_THREADS / hardware)
+            json.begin_record();
             ucp::Timer timer;
             const Tally r = run_all(work, opt);
             const int used = static_cast<int>(

@@ -55,8 +55,9 @@ inline double peak_rss_mb() {
 ///
 /// to `path` (default `BENCH_<name>.json`). The "counters" object holds the
 /// per-instance *delta* of the global stats registry (reduction passes,
-/// subgradient iterations, ZDD cache hits, phase timers, ...), so each record
-/// is self-contained and the perf trajectory can be tracked across commits.
+/// subgradient iterations, ZDD cache hits, phase timers, ...) since the
+/// previous record() or begin_record(), so each record is self-contained and
+/// the perf trajectory can be tracked across commits.
 class JsonReporter {
 public:
     JsonReporter(int argc, const char* const* argv, std::string bench_name)
@@ -110,6 +111,12 @@ public:
     /// speedups above scheduler noise on shared CI runners.
     [[nodiscard]] int min_of() const noexcept { return min_of_; }
     [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
+
+    /// Re-snapshots the stats registry, so the next record() carries only the
+    /// counters of work done after this call. Call it right before a record's
+    /// measured work when untimed set-up (instance builds, other sweeps) ran
+    /// since the previous record.
+    void begin_record() { baseline_ = stats::snapshot(); }
 
     /// Records one instance. `extra` appends bench-specific numeric fields;
     /// `text_extra` appends string fields (e.g. the anytime "status", which

@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
     for (const auto& [rows, cols, density] :
          std::vector<std::tuple<ucp::cov::Index, ucp::cov::Index, double>>{
              {20, 30, 0.15}, {40, 60, 0.08}, {80, 120, 0.05}}) {
+        json.begin_record();
         std::vector<int> iters_needed;
         int closed = 0, proved = 0;
         double sub_seconds = 0.0;
@@ -161,6 +162,7 @@ int main(int argc, char** argv) {
         }
         long lb_sum = 0, cost_sum = 0, iters = 0;
         int proved = 0;
+        json.begin_record();
         const ucp::bench::RepeatTiming rt =
             ucp::bench::time_min_of(json.min_of(), [&] {
                 lb_sum = cost_sum = iters = 0;

@@ -117,6 +117,6 @@ int main(int argc, char** argv) {
     std::cout << "\nportfolio strictly better than SCG alone on "
               << strictly_better << " instances\n"
               << "(phase: 1 = SCG leg won outright, 2 = RWLS polish improved "
-                 "it,\n 3 = the warm SCG re-seed improved it again)\n";
+                 "it;\n phase 3, the exact finish, is off in this bench)\n";
     return portfolio_lost ? 1 : 0;
 }

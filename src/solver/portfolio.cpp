@@ -22,7 +22,8 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
     static stats::Counter& c_tasks = stats::counter("portfolio.rwls_tasks");
     static stats::Counter& c_polish_wins =
         stats::counter("portfolio.polish_wins");
-    static stats::Counter& c_cross = stats::counter("portfolio.cross_seeds");
+    static stats::Counter& c_exact =
+        stats::counter("portfolio.exact_finishes");
     const stats::ScopedTimer phase_timer("portfolio.seconds");
     TRACE_SPAN("portfolio");
     c_calls.add();
@@ -118,26 +119,9 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
         }
     }
 
-    // ---- phase 3: SCG re-seed (RWLS → Lagrangian fixing rule) --------------
-    if (out.winner_phase == 2 && out.cost > out.lower_bound && !tripped()) {
-        c_cross.add();
-        ScgOptions reseed_opt = scg_opt;
-        reseed_opt.warm_solution = out.solution;
-        const ScgResult reseed = solve_scg(m, reseed_opt);
-        merge_status(reseed.status);
-        out.lower_bound = std::max(out.lower_bound, reseed.lower_bound);
-        if (reseed.cost < out.cost) {
-            out.cost = reseed.cost;
-            out.solution = reseed.solution;
-            out.winner_phase = 3;
-        }
-        TRACE_ITER("portfolio", 3, static_cast<double>(out.lower_bound),
-                   static_cast<double>(out.cost), 0.0, 0, 0, 0.0);
-    }
-
-    // ---- phase 4: exact finish (incumbent → BnB) ---------------------------
+    // ---- phase 3: exact finish (incumbent → BnB) ---------------------------
     if (opt.finish_exact && out.cost > out.lower_bound && !tripped()) {
-        c_cross.add();
+        c_exact.add();
         BnbOptions exact_opt = opt.exact;
         exact_opt.warm_solution = out.solution;
         if (exact_opt.governor == nullptr) exact_opt.governor = opt.governor;
@@ -148,9 +132,9 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
         if (exact.cost < out.cost) {
             out.cost = exact.cost;
             out.solution = exact.solution;
-            out.winner_phase = 4;
+            out.winner_phase = 3;
         }
-        TRACE_ITER("portfolio", 4, static_cast<double>(out.lower_bound),
+        TRACE_ITER("portfolio", 3, static_cast<double>(out.lower_bound),
                    static_cast<double>(out.cost), 0.0, 0, 0, 0.0);
     }
 

@@ -1,6 +1,6 @@
-// Portfolio solver: SCG multi-starts + RWLS local-search polish under one
-// shared Budget, with incumbents cross-seeded both ways (docs/ALGORITHM.md,
-// "Beyond the constructive scheme"; DESIGN.md §14).
+// Portfolio solver: one SCG solve, then an RWLS local-search polish of its
+// cover, under one shared Budget (docs/ALGORITHM.md, "Beyond the
+// constructive scheme"; DESIGN.md §14).
 //
 // The phases run in a fixed order so the result is bit-identical for every
 // thread count:
@@ -11,13 +11,8 @@
 //      ThreadPool, every task seeded from the best SCG cover (cross-seed
 //      SCG → RWLS) with its own SplitMix64 seed stream and its own fork() of
 //      the governor; results reduce by (cost, task index);
-//   3. SCG re-seed — when RWLS improved the incumbent, one more SCG solve
-//      warm-started with it (cross-seed RWLS → the Lagrangian fixing rule,
-//      via ScgOptions::warm_solution): the tightened target makes the
-//      penalty tests fix more columns, often closing the gap outright;
-//   4. optional exact finish — branch-and-bound warm-started with the best
-//      cover so far (cross-seed RWLS → the BnB incumbent, via
-//      BnbOptions::warm_solution).
+//   3. optional exact finish — branch-and-bound with the best cover so far
+//      as its root incumbent.
 //
 // Each later phase replaces the incumbent only when strictly better, and the
 // lower bound is the max over phases, so the anytime contract holds: a
@@ -48,11 +43,11 @@ struct PortfolioOptions {
     /// (ThreadPool::default_threads()), 1 = serial. Results are bit-identical
     /// for every value.
     int num_threads = 0;
-    /// Phase 4: finish with branch-and-bound warm-started from the portfolio
+    /// Phase 3: finish with branch-and-bound warm-started from the portfolio
     /// incumbent. Off by default — exactness costs exponential time on hard
     /// cores; the portfolio is a heuristic first.
     bool finish_exact = false;
-    /// Phase-4 options (`warm_solution` is overwritten with the incumbent).
+    /// Phase-3 options; the portfolio overwrites their warm incumbent.
     BnbOptions exact{};
     /// Shared governor: polled between phases, and every SCG start / RWLS
     /// task runs under its own fork() (shared deadline + cancel token,
@@ -66,8 +61,8 @@ struct PortfolioResult {
     cov::Cost cost = 0;
     cov::Cost lower_bound = 0;  ///< max over phases (each is globally valid)
     bool proved_optimal = false;
-    /// Which phase produced `solution`: 1 = SCG, 2 = RWLS polish, 3 = SCG
-    /// re-seed, 4 = exact finish.
+    /// Which phase produced `solution`: 1 = SCG, 2 = RWLS polish, 3 = exact
+    /// finish.
     int winner_phase = 1;
     int rwls_task_of_best = -1;  ///< winning polish task, -1 when phase 2 lost
     cov::Cost scg_cost = 0;      ///< phase-1 cost (the SCG-alone answer)

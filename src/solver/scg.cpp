@@ -107,29 +107,8 @@ ScgResult solve_scg_one_start(const CoverMatrix& m, const ScgOptions& opt) {
     Timer timer;
     ScgResult out;
     out.proved_optimal = true;
-    // Distribute the warm incumbent over the blocks: blocks share no rows, so
-    // a feasible cover's restriction to a block's columns covers that block.
-    // (Warm columns covering no row at all were dropped by the partition and
-    // belong to no block — they cannot be part of an irredundant cover.)
-    std::vector<std::vector<Index>> warm_local(blocks.size());
-    if (!opt.warm_solution.empty()) {
-        constexpr Index kNoBlock = static_cast<Index>(-1);
-        std::vector<Index> block_of(m.num_cols(), kNoBlock);
-        std::vector<Index> local_of(m.num_cols(), 0);
-        for (std::size_t b = 0; b < blocks.size(); ++b)
-            for (std::size_t k = 0; k < blocks[b].col_map.size(); ++k) {
-                block_of[blocks[b].col_map[k]] = static_cast<Index>(b);
-                local_of[blocks[b].col_map[k]] = static_cast<Index>(k);
-            }
-        for (const Index j : opt.warm_solution)
-            if (j < m.num_cols() && block_of[j] != kNoBlock)
-                warm_local[block_of[j]].push_back(local_of[j]);
-    }
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        const auto& block = blocks[b];
-        ScgOptions block_opt = opt;
-        block_opt.warm_solution = std::move(warm_local[b]);
-        const ScgResult r = solve_scg_single(block.matrix, block_opt);
+    for (const auto& block : blocks) {
+        const ScgResult r = solve_scg_single(block.matrix, opt);
         for (const Index j : r.solution)
             out.solution.push_back(block.col_map[j]);
         out.cost += r.cost;
@@ -280,21 +259,6 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
     best = m.make_irredundant(std::move(best));
     Cost best_cost = m.solution_cost(best);
     out.run_of_best = 0;
-
-    // Cross-seeded incumbent (portfolio / caller-supplied upper bound): when
-    // it beats the root incumbent it tightens every local fixing target
-    // best_cost − chosen_cost below, making the §3.6 penalty tests fix and
-    // remove more columns from the very first step.
-    if (!opt.warm_solution.empty() && m.is_feasible(opt.warm_solution)) {
-        static stats::Counter& c_warm = stats::counter("scg.warm_adopted");
-        std::vector<Index> warm = m.make_irredundant(opt.warm_solution);
-        const Cost wc = m.solution_cost(warm);
-        if (wc < best_cost) {
-            c_warm.add();
-            best_cost = wc;
-            best = std::move(warm);
-        }
-    }
 
     if (opt.log != nullptr)
         *opt.log << "[scg] core " << root.mat.num_rows() << "x"

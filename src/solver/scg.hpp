@@ -53,13 +53,6 @@ struct ScgOptions {
     /// counters) so fault injection trips deterministically regardless of
     /// num_threads. Not owned; nullptr = ungoverned.
     Budget* governor = nullptr;
-    /// Optional warm incumbent (original column indices, feasible for the
-    /// full matrix). Made irredundant and adopted when it beats the root
-    /// incumbent, which tightens the penalty-test target best_cost −
-    /// chosen_cost from the first fixing step — the cross-seeding hook the
-    /// portfolio uses to feed an RWLS upper bound back into the Lagrangian
-    /// fixing rule. Ignored when empty or infeasible.
-    std::vector<cov::Index> warm_solution{};
     /// Optional progress log (one line per subgradient phase / run).
     /// Ignored by the parallel starts (s > 0) to keep output deterministic.
     std::ostream* log = nullptr;

@@ -1,13 +1,14 @@
-// Portfolio solver: never worse than SCG alone at the same options,
-// bit-identical results across thread counts, both cross-seeding hooks
-// (warm_solution into SCG and BnB), and the anytime contract under a
-// governor.
+// Portfolio solver: one SCG solve per call and never worse than SCG alone at
+// the same options, bit-identical results across thread counts, the exact
+// finish and its warm_solution hook into BnB, and the anytime contract under
+// a governor.
 #include <gtest/gtest.h>
 
 #include "gen/scp_gen.hpp"
 #include "gen/suites.hpp"
 #include "solver/portfolio.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -19,7 +20,6 @@ using ucp::cov::Index;
 using ucp::solver::BnbOptions;
 using ucp::solver::PortfolioOptions;
 using ucp::solver::PortfolioResult;
-using ucp::solver::ScgOptions;
 using ucp::solver::solve_exact;
 using ucp::solver::solve_portfolio;
 using ucp::solver::solve_scg;
@@ -43,16 +43,23 @@ PortfolioOptions small_opts() {
 }
 
 TEST(Portfolio, NeverWorseThanScgAlone) {
+    const ucp::stats::Counter& scg_starts = ucp::stats::counter("scg.starts");
     ucp::Rng seeds(808);
     for (int trial = 0; trial < 5; ++trial) {
         const CoverMatrix m = unicost(seeds());
         PortfolioOptions opt = small_opts();
         const auto scg = solve_scg(m, opt.scg);
+        const std::uint64_t starts_before = scg_starts.value();
         const PortfolioResult r = solve_portfolio(m, opt);
+        // Phase 1 is the only SCG solve: RWLS wins are not fed back into SCG.
+        EXPECT_EQ(scg_starts.value() - starts_before,
+                  static_cast<std::uint64_t>(opt.scg.num_starts))
+            << "trial " << trial;
         ASSERT_TRUE(m.is_feasible(r.solution));
         EXPECT_LE(r.cost, scg.cost) << "portfolio lost to its own SCG leg";
         EXPECT_EQ(r.scg_cost, scg.cost);
-        EXPECT_GE(r.lower_bound, scg.lower_bound);
+        // Without the exact finish the bound is phase 1's.
+        EXPECT_EQ(r.lower_bound, scg.lower_bound);
     }
 }
 
@@ -117,30 +124,6 @@ TEST(Portfolio, AnytimeUnderIterationCap) {
         ASSERT_TRUE(m.is_feasible(r.solution)) << "cap=" << cap;
         EXPECT_NE(r.status, Status::kOk) << "cap=" << cap;
     }
-}
-
-TEST(ScgWarmSolution, AdoptedWhenBetterIgnoredWhenInfeasible) {
-    const CoverMatrix m = unicost(27);
-    ScgOptions base;
-    base.num_iter = 1;
-    base.subgradient.max_iterations = 5;  // weak: leaves a coarse incumbent
-    const auto weak = solve_scg(m, base);
-
-    // Warm-seed with the exact optimum: the result must adopt it.
-    const auto exact = solve_exact(m);
-    ASSERT_TRUE(exact.optimal);
-    ScgOptions warm = base;
-    warm.warm_solution = exact.solution;
-    const auto seeded = solve_scg(m, warm);
-    EXPECT_EQ(seeded.cost, exact.cost);
-    EXPECT_LE(seeded.cost, weak.cost);
-
-    // An infeasible warm vector is ignored, not adopted.
-    ScgOptions bad = base;
-    bad.warm_solution = {0};
-    const auto ignored = solve_scg(m, bad);
-    EXPECT_TRUE(m.is_feasible(ignored.solution));
-    EXPECT_EQ(ignored.cost, weak.cost);
 }
 
 TEST(BnbWarmSolution, SeedsIncumbentWithoutBreakingExactness) {
