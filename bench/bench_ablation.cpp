@@ -143,8 +143,8 @@ int main(int argc, char** argv) {
             json.begin_record();
             ucp::Timer timer;
             const Tally r = run_all(work, opt);
-            const int used = static_cast<int>(
-                ucp::ThreadPool::resolve_threads(threads, starts));
+            const int used =
+                static_cast<int>(ucp::resolve_threads(threads, starts));
             t.add_row({std::to_string(starts), std::to_string(used),
                        std::to_string(r.cost), std::to_string(r.proved),
                        TextTable::num(r.seconds)});

@@ -69,7 +69,7 @@ public:
                 path_ = "BENCH_" + bench_ + ".json";
         }
         threads_ = static_cast<int>(
-            opts.get_int("threads", static_cast<long>(ThreadPool::default_threads())));
+            opts.get_int("threads", static_cast<long>(default_threads())));
         starts_ = static_cast<int>(opts.get_int("starts", 1));
         min_of_ = static_cast<int>(opts.get_int("min-of", 1));
         if (min_of_ < 1) min_of_ = 1;
@@ -101,8 +101,8 @@ public:
     JsonReporter& operator=(const JsonReporter&) = delete;
 
     /// --threads / --starts from the command line (threads defaults to
-    /// ThreadPool::default_threads(), starts to 1) so every bench binary gets
-    /// the parallel-SCG knobs for free.
+    /// default_threads(), starts to 1) so every bench binary gets the
+    /// parallel-SCG knobs for free.
     [[nodiscard]] int threads() const noexcept { return threads_; }
     [[nodiscard]] int starts() const noexcept { return starts_; }
     /// --min-of N: timing repetitions per instance (default 1). Benches that

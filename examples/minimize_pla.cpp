@@ -132,11 +132,9 @@ bool two_level_options(const ucp::Options& opts,
     tl.budget.zdd_node_budget =
         static_cast<std::size_t>(opts.get_int("zdd-node-budget", 0));
     tl.cancel = &g_cancel;
-    // Exact-solver knobs: decomposition-parallel search (DESIGN.md §11).
+    // Exact-solver workers: decomposition-parallel search (DESIGN.md §11).
     tl.bnb.num_threads =
         static_cast<int>(opts.get_int("bnb-threads", tl.bnb.num_threads));
-    tl.bnb.parallel_min_rows = static_cast<ucp::cov::Index>(opts.get_int(
-        "bnb-min-rows", static_cast<long>(tl.bnb.parallel_min_rows)));
     const std::string solver = opts.get("solver", "scg");
     if (solver == "exact")
         tl.cover_solver = ucp::solver::CoverSolver::kExact;
@@ -256,7 +254,7 @@ int main(int argc, char** argv) {
                       << "       [--compare-espresso] [--json]\n"
                       << "       [--deadline-ms=<n>] [--zdd-node-budget=<n>]\n"
                       << "       [--mem-budget-mb=<n>]\n"
-                      << "       [--bnb-threads=<n>] [--bnb-min-rows=<n>]\n"
+                      << "       [--bnb-threads=<n>]\n"
                       << "       [--zdd-cache-entries=<n>] "
                          "[--zdd-gc-threshold=<n>] [--zdd-chain=on|off]\n"
                       << "       [--trace=<file>] "

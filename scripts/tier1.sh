@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, a ThreadSanitizer pass over
-# the concurrency-bearing tests (thread pool, parallel multi-start SCG,
-# decomposition-parallel exact solver, cancellation under memory pressure,
+# the concurrency-bearing tests (the parallel_for scheduler, parallel
+# multi-start SCG, the decomposition-parallel exact solver's root tasks
+# through that scheduler, cancellation under memory pressure,
 # the portfolio and RWLS fan-out, per-instance memory budgets in a parallel
 # map of the pipeline), then the chaos lane (scripts/chaos.sh): everything
 # re-run under injected OOM schedules and a tight memory cap, asserting

@@ -4,12 +4,12 @@
 // core, bound, limit-bound strip, n-ary branch on a shortest row) and adds
 // the partitioning reduction *dynamically*: after every reduce-to-core the
 // live structure is scanned for independent blocks (matrix/components.hpp)
-// and each block is solved as its own subproblem — at the root across worker
-// threads with a work-stealing deque, inside the tree sequentially with
-// per-block thresholds. Correctness of the cross-block pruning rests on one
-// recombination identity, proven in DESIGN.md §11: with per-block results
-// B*_b found under thresholds derived from the shared incumbent and the
-// other blocks' lower bounds,
+// and each block is solved as its own subproblem — at the root as (block,
+// root branch) tasks fanned out by parallel_for, inside the tree
+// sequentially with per-block thresholds. Correctness of the cross-block
+// pruning rests on one recombination identity, proven in DESIGN.md §11:
+// with per-block results B*_b found under thresholds derived from the shared
+// incumbent and the other blocks' lower bounds,
 //
 //     answer = min(whole-matrix greedy, cost0 + Σ_b B*_b)
 //
@@ -36,7 +36,6 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
-#include "util/work_deque.hpp"
 
 namespace ucp::solver {
 
@@ -54,6 +53,10 @@ constexpr Cost kInfCost = std::numeric_limits<Cost>::max() / 4;
 constexpr int kLagrangianIterations = 60;
 constexpr std::size_t kLpCellLimit = 40'000;
 constexpr int kIncrementalMisExtraRows = 6;
+// Small-core cutoff: cores with fewer live rows skip the per-node component
+// scan, and blocks smaller than this are never root-split into branch
+// tasks — tiny cores are cheaper to finish than to decompose.
+constexpr Index kMinSplitRows = 8;
 
 stats::Counter& blocks_found_counter() {
     static stats::Counter& c = stats::counter("bnb.blocks_found");
@@ -430,7 +433,7 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
     // When the strip fired the view is stale, so the stripped copy is
     // scanned; otherwise the scan and the split run on the live view — same
     // structure as the core, no intermediate copy.
-    if (ctx.opt.decompose && work->num_rows() >= ctx.opt.parallel_min_rows) {
+    if (ctx.opt.decompose && work->num_rows() >= kMinSplitRows) {
         std::vector<cov::Partition> parts;
         if (strip_fired) {
             const Index k = cov::find_components(*work, ctx.comp_ws);
@@ -683,7 +686,7 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
         searchable.push_back(b);
     }
 
-    const unsigned want_threads = ThreadPool::resolve_threads(opt.num_threads);
+    const unsigned want_threads = resolve_threads(opt.num_threads);
     std::vector<Task> tasks;
     for (const Index b : searchable) tasks.push_back(Task{b, -1});
     // Root-split: when blocks alone cannot feed every worker, expand large
@@ -696,7 +699,7 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
         tasks.clear();
         for (const Index b : searchable) {
             const CoverMatrix& bm = parts[b].matrix;
-            if (bm.num_rows() < opt.parallel_min_rows) {
+            if (bm.num_rows() < kMinSplitRows) {
                 tasks.push_back(Task{b, -1});
                 continue;
             }
@@ -709,11 +712,16 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
     }
     for (const Task& t : tasks) ++blocks[t.block].tasks_left;
 
-    const unsigned workers =
-        ThreadPool::resolve_threads(opt.num_threads, tasks.size());
+    const unsigned workers = resolve_threads(opt.num_threads, tasks.size());
     std::atomic<int> first_stop{static_cast<int>(Status::kOk)};
 
-    const auto run_task = [&](const Task& t, Budget* gov) {
+    // Tasks go out in index order — by block, then by root branch, so each
+    // block's most promising branch starts first. One worker is the
+    // sequential reference execution: tasks in order, the caller's governor
+    // charged directly (cumulative, like the pre-parallel solver). With more,
+    // every task runs under its own fork of the governor.
+    parallel_for(tasks.size(), static_cast<int>(workers), [&](std::size_t i) {
+        const Task& t = tasks[i];
         BlockInfo& bi = blocks[t.block];
         {
             TRACE_SPAN("bnb.block");
@@ -723,6 +731,12 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
                 // bound: prune without expansion.
                 if (t.branch <= 0) blocks_pruned_counter().add();
             } else {
+                std::optional<Budget> forked;
+                Budget* gov = opt.governor;
+                if (workers > 1 && gov != nullptr) {
+                    forked.emplace(gov->fork());
+                    gov = &*forked;
+                }
                 Ctx ctx(opt, gov, nodes, aborted);
                 std::vector<Index> chosen;
                 recurse(parts[t.block].matrix, parts[t.block].col_map, {}, 0,
@@ -742,39 +756,7 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
             const Cost t_end = shared.threshold(t.block);
             shared.complete(t.block, std::min(bi.scope.best(), t_end));
         }
-    };
-
-    if (workers <= 1) {
-        // Sequential reference execution: tasks in deterministic order, the
-        // caller's governor charged directly (cumulative, like the
-        // pre-parallel solver).
-        for (const Task& t : tasks) run_task(t, opt.governor);
-    } else {
-        static stats::Counter& c_steals = stats::counter("bnb.steals");
-        WorkDequeSet<Task> dq(workers);
-        dq.add_pending(tasks.size());
-        for (std::size_t i = 0; i < tasks.size(); ++i)
-            dq.deque(i % workers).push_bottom(tasks[i]);
-        ThreadPool pool(workers);
-        for (unsigned w = 0; w < workers; ++w) {
-            pool.submit([&, w] {
-                Task t{0, -1};
-                bool stole = false;
-                while (dq.acquire(w, t, stole)) {
-                    if (stole) c_steals.add();
-                    std::optional<Budget> forked;
-                    Budget* gov = opt.governor;
-                    if (gov != nullptr) {
-                        forked.emplace(gov->fork());
-                        gov = &*forked;
-                    }
-                    run_task(t, gov);
-                    dq.finish();
-                }
-            });
-        }
-        pool.wait();
-    }
+    });
 
     // ---- deterministic recombination ---------------------------------------
     // min(whole-matrix greedy, essentials + Σ per-block best), blocks

@@ -47,17 +47,13 @@ struct BnbOptions {
     /// per-block bounds (the partitioning reduction of paper §2, applied
     /// dynamically).
     bool decompose = true;
-    /// Worker threads for the top-level block search. 1 = fully sequential
-    /// (the deterministic reference execution), ≤ 0 = ThreadPool::
-    /// default_threads() (honours UCP_THREADS). The optimal cost is
-    /// bit-identical across thread counts; only the tie choice among equal-
-    /// cost covers, node counts and trip points may differ.
+    /// Worker threads for the top-level (block, root branch) tasks, which
+    /// parallel_for hands out in index order. 1 = fully sequential (the
+    /// deterministic reference execution), ≤ 0 = default_threads() (honours
+    /// UCP_THREADS). The optimal cost is bit-identical across thread counts;
+    /// only the tie choice among equal-cost covers, node counts and trip
+    /// points may differ.
     int num_threads = 1;
-    /// Small-core cutoff: cores with fewer live rows skip the per-node
-    /// component scan, and blocks smaller than this are never root-split
-    /// into branch subtasks — tiny cores are cheaper to finish than to
-    /// decompose.
-    cov::Index parallel_min_rows = 8;
     /// Optional warm incumbent (original column indices). Checked for
     /// feasibility, made irredundant, and adopted when it beats the greedy
     /// baseline, so the search starts with a tighter pruning threshold — the

@@ -94,12 +94,10 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
                     search::RwlsWorkspace ws;
                     return search::rwls_improve(red.core, local, ws);
                 });
-            out.rwls_tasks_run = tasks;
             c_tasks.add(static_cast<std::uint64_t>(tasks));
             for (int t = 0; t < tasks; ++t) {
                 const auto& r = results[static_cast<std::size_t>(t)];
                 merge_status(r.status);
-                out.rwls_steps += r.steps;
                 std::vector<Index> full = red.essential_cols;
                 for (const Index j : r.solution)
                     full.push_back(red.core_col_map[j]);
@@ -127,7 +125,6 @@ PortfolioResult solve_portfolio(const CoverMatrix& m,
         if (exact_opt.governor == nullptr) exact_opt.governor = opt.governor;
         const BnbResult exact = solve_exact(m, exact_opt);
         merge_status(exact.status);
-        out.exact_ran = true;
         out.lower_bound = std::max(out.lower_bound, exact.lower_bound);
         if (exact.cost < out.cost) {
             out.cost = exact.cost;

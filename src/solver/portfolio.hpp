@@ -7,8 +7,8 @@
 //
 //   1. SCG — exactly the configured multi-start solve (so the portfolio's
 //      answer can never be worse than SCG alone at the same options);
-//   2. RWLS polish — `rwls_tasks` independent local searches on the
-//      ThreadPool, every task seeded from the best SCG cover (cross-seed
+//   2. RWLS polish — `rwls_tasks` independent local searches fanned out by
+//      parallel_map, every task seeded from the best SCG cover (cross-seed
 //      SCG → RWLS) with its own SplitMix64 seed stream and its own fork() of
 //      the governor; results reduce by (cost, task index);
 //   3. optional exact finish — branch-and-bound with the best cover so far
@@ -19,7 +19,6 @@
 // governor trip at any point leaves a feasible cover and a valid bound.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "search/rwls.hpp"
@@ -40,7 +39,7 @@ struct PortfolioOptions {
     /// Independent RWLS polish tasks (0 disables the polish phase).
     int rwls_tasks = 4;
     /// Worker threads for the polish fan-out. ≤ 0 = auto
-    /// (ThreadPool::default_threads()), 1 = serial. Results are bit-identical
+    /// (default_threads()), 1 = serial. Results are bit-identical
     /// for every value.
     int num_threads = 0;
     /// Phase 3: finish with branch-and-bound warm-started from the portfolio
@@ -67,9 +66,6 @@ struct PortfolioResult {
     int rwls_task_of_best = -1;  ///< winning polish task, -1 when phase 2 lost
     cov::Cost scg_cost = 0;      ///< phase-1 cost (the SCG-alone answer)
     cov::Cost rwls_cost = 0;     ///< best cost after the polish phase
-    std::uint64_t rwls_steps = 0;  ///< local-search steps across every task
-    int rwls_tasks_run = 0;
-    bool exact_ran = false;
     Status status = Status::kOk;  ///< first non-kOk phase status, else kOk
     double seconds = 0.0;
 };

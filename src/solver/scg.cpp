@@ -113,13 +113,10 @@ ScgResult solve_scg_one_start(const CoverMatrix& m, const ScgOptions& opt) {
             out.solution.push_back(block.col_map[j]);
         out.cost += r.cost;
         out.lower_bound += r.lower_bound;
-        out.lower_bound_fractional += r.lower_bound_fractional;
         out.proved_optimal = out.proved_optimal && r.proved_optimal;
         out.runs_executed = std::max(out.runs_executed, r.runs_executed);
         out.run_of_best = std::max(out.run_of_best, r.run_of_best);
         out.subgradient_calls += r.subgradient_calls;
-        out.columns_fixed_by_penalties += r.columns_fixed_by_penalties;
-        out.columns_removed_by_penalties += r.columns_removed_by_penalties;
         if (out.status == Status::kOk) out.status = r.status;
     }
     out.seconds = timer.seconds();
@@ -184,14 +181,7 @@ ScgResult solve_scg(const CoverMatrix& m, const ScgOptions& opt) {
         // status merge is deterministic too: first non-kOk by start index.
         if (out.status == Status::kOk) out.status = results[s].status;
         out.lower_bound = std::max(out.lower_bound, results[s].lower_bound);
-        out.lower_bound_fractional = std::max(out.lower_bound_fractional,
-                                              results[s].lower_bound_fractional);
-        if (s != best) {
-            out.subgradient_calls += results[s].subgradient_calls;
-            out.columns_fixed_by_penalties += results[s].columns_fixed_by_penalties;
-            out.columns_removed_by_penalties +=
-                results[s].columns_removed_by_penalties;
-        }
+        if (s != best) out.subgradient_calls += results[s].subgradient_calls;
     }
     out.proved_optimal = out.cost <= out.lower_bound;
     out.seconds = timer.seconds();
@@ -238,7 +228,6 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
         out.solution = m.make_irredundant(essentials);
         out.cost = m.solution_cost(out.solution);
         out.lower_bound = out.cost;
-        out.lower_bound_fractional = static_cast<double>(out.cost);
         out.proved_optimal = true;
         out.seconds = timer.seconds();
         return out;
@@ -250,8 +239,6 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
     root.lambda = root_sub.lambda;
     root.mu = root_sub.mu;
 
-    out.lower_bound_fractional =
-        static_cast<double>(essential_cost) + root_sub.lb_fractional;
     out.lower_bound = essential_cost + root_sub.lb;
 
     std::vector<Index> best = essentials;
@@ -337,8 +324,6 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
                     w.view, sub.lagrangian_costs, sub.lb_fractional, local_target);
                 for (const Index j : pen.fix_to_one) mark_fix(j);
                 for (const Index j : pen.fix_to_zero) mark_remove(j);
-                out.columns_fixed_by_penalties += pen.fix_to_one.size();
-                out.columns_removed_by_penalties += pen.fix_to_zero.size();
             }
             if (opt.use_dual_penalties &&
                 w.view.num_live_cols() <= kDualPenMaxCols) {
@@ -346,8 +331,6 @@ ScgResult solve_scg_single(const CoverMatrix& m, const ScgOptions& opt) {
                     w.view, ws, local_target, sub.lambda, kDualPenMaxCols);
                 for (const Index j : pen.fix_to_one) mark_fix(j);
                 for (const Index j : pen.fix_to_zero) mark_remove(j);
-                out.columns_fixed_by_penalties += pen.fix_to_one.size();
-                out.columns_removed_by_penalties += pen.fix_to_zero.size();
             }
 
             // Promising columns: c̃_j ≤ ĉ and µ_j ≥ µ̂ (§3.7).

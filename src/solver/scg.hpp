@@ -40,7 +40,7 @@ struct ScgOptions {
     /// value.
     int num_starts = 1;
     /// Worker threads for the multi-start fan-out. ≤ 0 = auto
-    /// (ThreadPool::default_threads(): UCP_THREADS env or hardware);
+    /// (default_threads(): UCP_THREADS env or hardware);
     /// 1 = serial. Has no effect when num_starts ≤ 1.
     int num_threads = 1;
     lagr::SubgradientOptions subgradient{};
@@ -62,15 +62,12 @@ struct ScgResult {
     std::vector<cov::Index> solution;  ///< original column indices, irredundant
     cov::Cost cost = 0;
     cov::Cost lower_bound = 0;       ///< best global Lagrangian bound, ⌈·⌉
-    double lower_bound_fractional = 0.0;
     bool proved_optimal = false;     ///< cost == lower_bound
     int runs_executed = 0;
     int run_of_best = 0;             ///< the run (1-based) that found `solution`
     int starts_executed = 0;         ///< multi-starts actually run (≥ 1)
     int start_of_best = 0;           ///< the start (0-based) that found `solution`
     std::size_t subgradient_calls = 0;
-    std::size_t columns_fixed_by_penalties = 0;
-    std::size_t columns_removed_by_penalties = 0;
     double seconds = 0.0;
     /// kOk, or the governor trip that ended the solve early. The solution is
     /// feasible and lower_bound valid either way (anytime contract).

@@ -1,79 +1,20 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 namespace ucp {
 
-ThreadPool::ThreadPool(unsigned num_threads) {
-    if (num_threads <= 1) return;  // inline mode
-    workers_.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t)
-        workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    job_ready_.notify_all();
-    for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-    if (workers_.empty()) {
-        job();
-        return;
-    }
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        jobs_.push(std::move(job));
-        ++in_flight_;
-    }
-    job_ready_.notify_one();
-}
-
-void ThreadPool::wait() {
-    if (workers_.empty()) return;
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-    if (workers_.empty()) {
-        for (std::size_t i = 0; i < n; ++i) fn(i);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) submit([&fn, i] { fn(i); });
-    wait();
-}
-
-void ThreadPool::worker_loop() {
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            job_ready_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
-            if (jobs_.empty()) return;  // stop_ set and queue drained
-            job = std::move(jobs_.front());
-            jobs_.pop();
-        }
-        job();
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (--in_flight_ == 0) all_done_.notify_all();
-        }
-    }
-}
-
-unsigned ThreadPool::hardware_threads() noexcept {
+unsigned hardware_threads() noexcept {
     const unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
 }
 
-unsigned ThreadPool::default_threads() noexcept {
+unsigned default_threads() noexcept {
     if (const char* env = std::getenv("UCP_THREADS")) {
         const long v = std::strtol(env, nullptr, 10);
         if (v > 0) return static_cast<unsigned>(v);
@@ -81,10 +22,54 @@ unsigned ThreadPool::default_threads() noexcept {
     return hardware_threads();
 }
 
-unsigned ThreadPool::resolve_threads(int requested, std::size_t tasks) noexcept {
+unsigned resolve_threads(int requested, std::size_t tasks) noexcept {
     const unsigned want = requested <= 0 ? default_threads()
                                          : static_cast<unsigned>(requested);
     return static_cast<unsigned>(std::min<std::size_t>(want, tasks));
+}
+
+void parallel_for(std::size_t n, int num_threads,
+                  const std::function<void(std::size_t)>& fn) {
+    const unsigned workers = resolve_threads(num_threads, n);
+    if (workers <= 1) {
+        for (std::size_t i = 0; i < n; ++i) fn(i);
+        return;
+    }
+
+    std::atomic<std::size_t> next{0};
+    std::mutex failure_mutex;
+    std::size_t failed_index = n;  // guarded by failure_mutex
+    std::exception_ptr failure;    // guarded by failure_mutex
+    const auto drain = [&] {
+        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+            try {
+                fn(i);
+            } catch (...) {
+                // Indices go out in ascending order, so every index below i
+                // is already running or done: stopping the hand-out here
+                // still lets the lowest failing index be recorded.
+                next.store(n);
+                const std::lock_guard<std::mutex> lock(failure_mutex);
+                if (i < failed_index) {
+                    failed_index = i;
+                    failure = std::current_exception();
+                }
+            }
+        }
+    };
+
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    try {
+        for (unsigned t = 0; t < workers; ++t) threads.emplace_back(drain);
+    } catch (...) {
+        // A thread failed to start: the running ones must still be joined.
+        next.store(n);
+        for (std::thread& t : threads) t.join();
+        throw;
+    }
+    for (std::thread& t : threads) t.join();
+    if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace ucp

@@ -39,7 +39,7 @@ struct Record {
 }  // namespace
 
 /// One writer (the owning thread); exporters read after the solve. Owned by
-/// the registry so records survive thread exit (ThreadPool workers).
+/// the registry so records survive thread exit (parallel_for's threads).
 struct ThreadState {
     std::uint32_t tid = 0;
     std::uint16_t depth = 0;

@@ -14,7 +14,7 @@
 // Records land in per-thread buffers: each buffer has exactly one writer (its
 // thread), so recording takes no lock — one relaxed atomic load (the level
 // gate), a steady_clock read and a vector append. A global registry owns the
-// buffers (threads may die before export; ThreadPool workers do) and the
+// buffers (threads may die before export; parallel_for's threads do) and the
 // exporters merge-sort them by timestamp after the solve.
 //
 // Runtime gate: tracing is off by default; `trace::start(Level)` arms it and

@@ -1,16 +1,17 @@
 // Decomposition-parallel exact solver: the parallel search must return
 // bit-identical optimal costs to the sequential reference across thread
 // counts, detect blocks that only appear after reductions, honour the
-// governor cooperatively from every worker, and pin the block counters on
-// crafted instances.
+// governor cooperatively from every worker (forking it only when there is
+// more than one), and pin the block counters on crafted instances.
 #include <gtest/gtest.h>
 
 #include "gen/scp_gen.hpp"
 #include "solver/bnb.hpp"
 #include "util/budget.hpp"
+#include "util/fault.hpp"
+#include "util/mem_budget.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/work_deque.hpp"
 
 namespace {
 
@@ -36,9 +37,11 @@ CoverMatrix block_diagonal(const std::vector<CoverMatrix>& blocks) {
     return CoverMatrix::from_rows(col_base, std::move(rows), std::move(costs));
 }
 
-/// Runs the decomposition-parallel solver at 1, 2 and 4 threads and checks
-/// each result against the sequential non-decomposing reference: identical
-/// optimal cost, a feasible cover whose cost matches, optimality proven.
+/// Runs the decomposition-parallel solver at 1, 2, 3, 4 and 8 threads — one
+/// worker taking several tasks as well as more workers than tasks — and
+/// checks each result against the sequential non-decomposing reference:
+/// identical optimal cost, a feasible cover whose cost matches, optimality
+/// proven.
 void expect_parallel_matches_reference(const CoverMatrix& m,
                                        const char* label) {
     BnbOptions ref_opt;
@@ -46,7 +49,7 @@ void expect_parallel_matches_reference(const CoverMatrix& m,
     const auto ref = solve_exact(m, ref_opt);
     ASSERT_TRUE(ref.optimal) << label;
 
-    for (const int threads : {1, 2, 4}) {
+    for (const int threads : {1, 2, 3, 4, 8}) {
         BnbOptions opt;
         opt.decompose = true;
         opt.num_threads = threads;
@@ -228,42 +231,30 @@ TEST(BnbParallel, DeadlineTruncationStaysFeasibleInParallel) {
     }
 }
 
-TEST(WorkDeque, OwnerPopsLifoThiefStealsFifo) {
-    ucp::WorkDeque<int> dq;
-    dq.push_bottom(1);
-    dq.push_bottom(2);
-    dq.push_bottom(3);
-    int v = 0;
-    ASSERT_TRUE(dq.try_steal_top(v));
-    EXPECT_EQ(v, 1);  // thief takes the oldest
-    ASSERT_TRUE(dq.try_pop_bottom(v));
-    EXPECT_EQ(v, 3);  // owner takes the newest
-    ASSERT_TRUE(dq.try_pop_bottom(v));
-    EXPECT_EQ(v, 2);
-    EXPECT_FALSE(dq.try_pop_bottom(v));
-    EXPECT_FALSE(dq.try_steal_top(v));
-}
-
-TEST(WorkDeque, SetDrainsAcrossWorkers) {
-    ucp::WorkDequeSet<int> set(2);
-    set.add_pending(3);
-    set.deque(0).push_bottom(10);
-    set.deque(0).push_bottom(11);
-    set.deque(1).push_bottom(12);
-    int sum = 0;
-    int v = 0;
-    bool stole = false;
-    int steals = 0;
-    // Worker 1 drains everything: one local task, two steals from worker 0.
-    while (!set.drained()) {
-        if (!set.acquire(1, v, stole)) break;
-        sum += v;
-        if (stole) ++steals;
-        set.finish();
+TEST(BnbParallel, GovernorForkedOnlyAcrossWorkers) {
+    // One worker charges the caller's governor directly (the sequential
+    // reference keeps its trip points); with more, every task charges its
+    // own fork and the caller's counters stay untouched. The explicit
+    // uncapped accountant keeps the ambient chaos-lane memory faults out.
+    const CoverMatrix m = block_diagonal(
+        {ucp::gen::cyclic_matrix(12, 5), ucp::gen::cyclic_matrix(13, 5),
+         ucp::gen::cyclic_matrix(11, 4)});
+    ucp::MemoryBudget uncapped(0, nullptr, ucp::fault::Spec{});
+    ucp::BudgetOptions bo;
+    bo.memory = &uncapped;
+    for (const int threads : {1, 4}) {
+        ucp::Budget budget(bo);
+        BnbOptions opt;
+        opt.num_threads = threads;
+        opt.governor = &budget;
+        const auto r = solve_exact(m, opt);
+        ASSERT_TRUE(r.optimal) << "threads=" << threads;
+        ASSERT_GT(r.nodes, 0u) << "threads=" << threads;
+        if (threads == 1)
+            EXPECT_GT(budget.iterations_charged(), 0u);
+        else
+            EXPECT_EQ(budget.iterations_charged(), 0u);
     }
-    EXPECT_TRUE(set.drained());
-    EXPECT_EQ(sum, 10 + 11 + 12);
-    EXPECT_EQ(steals, 2);
 }
 
 }  // namespace
