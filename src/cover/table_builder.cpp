@@ -269,55 +269,76 @@ OnsetMatrix onset_matrix_implicit(const pla::Pla& pla, const Cover& columns,
     std::map<std::vector<Index>, Index> row_of_signature;
     std::vector<std::vector<Index>> rows;
     std::unordered_set<Index> essential_set;
+    std::uint64_t box_disjoint = 0, box_contained = 0, dd_splits = 0,
+                  dd_splits_empty = 0;
 
     for (std::uint32_t k = 0; k < s.num_outputs; ++k) {
         // U_k: care on-set minterms of output k. Points also listed as
         // don't-care are excluded — they need not be covered (Espresso
         // semantics, kept consistent with the baseline minimiser).
         Zdd onset = mgr.empty();
-        for (const auto& c : pla.on) {
-            if (!c.out(s, k)) continue;
-            onset = mgr.union_(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
+        {
+            TRACE_SPAN("table.onset");
+            for (const auto& c : pla.on) {
+                if (!c.out(s, k)) continue;
+                onset = mgr.union_(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
+            }
+            for (const auto& c : pla.dc) {
+                if (!c.out(s, k)) continue;
+                onset = mgr.diff(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
+            }
+            if (onset.is_empty()) continue;
+            out.onset_minterms += mgr.count(onset);
         }
-        for (const auto& c : pla.dc) {
-            if (!c.out(s, k)) continue;
-            onset = mgr.diff(onset, zdd::minterms_of_cube(mgr, cube_spec(s, c)));
-        }
-        if (onset.is_empty()) continue;
-        out.onset_minterms += mgr.count(onset);
 
-        // Partition refinement against each column asserting output k.
+        // Partition refinement against each column asserting output k. `box`
+        // is a supercube of the class, so a column that misses or contains it
+        // settles the pair without the ZDD, with the push its answer makes.
         struct Class {
             Zdd set;
             std::vector<Index> sig;
+            Cube box;
         };
         std::vector<Class> classes;
-        classes.push_back({onset, {}});
-        for (Index j = 0; j < static_cast<Index>(P); ++j) {
-            if (!columns[j].out(s, k)) continue;
-            if (mgr.governor() != nullptr)
-                throw_if_error(mgr.governor()->check(), "partition refinement");
-            std::vector<Class> next;
-            next.reserve(classes.size() * 2);
-            for (auto& cl : classes) {
-                Zdd inter = mgr.intersect(cl.set, col_minterms[j]);
-                if (inter.is_empty()) {
+        classes.push_back({onset, {}, Cube::full(s)});
+        {
+            TRACE_SPAN("table.refine");
+            for (Index j = 0; j < static_cast<Index>(P); ++j) {
+                const Cube& col = columns[j];
+                if (!col.out(s, k)) continue;
+                if (mgr.governor() != nullptr)
+                    throw_if_error(mgr.governor()->check(), "partition refinement");
+                std::vector<Class> next;
+                next.reserve(classes.size() * 2);
+                for (auto& cl : classes) {
+                    if (!cl.box.intersects_inputs(s, col)) {
+                        ++box_disjoint;
+                    } else if (col.contains_inputs(s, cl.box)) {
+                        ++box_contained;
+                        cl.sig.push_back(j);
+                    } else {
+                        ++dd_splits;
+                        auto [inter, rest] = mgr.split(cl.set, col_minterms[j]);
+                        dd_splits_empty += inter.is_empty();
+                        if (!inter.is_empty()) {
+                            std::vector<Index> sig1 = cl.sig;
+                            sig1.push_back(j);
+                            next.push_back({std::move(inter), std::move(sig1),
+                                            cl.box.intersect(s, col)});
+                            if (rest.is_empty()) continue;
+                            cl.set = std::move(rest);
+                        }
+                    }
                     next.push_back(std::move(cl));
-                    continue;
                 }
-                Zdd rest = mgr.diff(cl.set, col_minterms[j]);
-                std::vector<Index> sig1 = cl.sig;
-                sig1.push_back(j);
-                next.push_back({std::move(inter), std::move(sig1)});
-                if (!rest.is_empty())
-                    next.push_back({std::move(rest), std::move(cl.sig)});
+                classes = std::move(next);
+                if (classes.size() > max_rows)
+                    throw ResourceError(Status::kNodeBudget,
+                                        "signature classes exceed max_rows guard");
             }
-            classes = std::move(next);
-            if (classes.size() > max_rows)
-                throw ResourceError(Status::kNodeBudget,
-                                    "signature classes exceed max_rows guard");
         }
 
+        TRACE_SPAN("table.rows");
         for (auto& cl : classes) {
             if (cl.sig.empty())
                 throw BadInputError("columns do not cover the care on-set");
@@ -327,7 +348,12 @@ OnsetMatrix onset_matrix_implicit(const pla::Pla& pla, const Cover& columns,
             if (inserted) rows.push_back(it->first);
         }
     }
+    stats::counter("cover.box_disjoint").add(box_disjoint);
+    stats::counter("cover.box_contained").add(box_contained);
+    stats::counter("cover.dd_splits").add(dd_splits);
+    stats::counter("cover.dd_splits_empty").add(dd_splits_empty);
 
+    TRACE_SPAN("table.rows");
     out.essential_columns = essential_set.size();
     out.matrix =
         cov::CoverMatrix::from_rows(static_cast<Index>(P), std::move(rows));

@@ -68,11 +68,10 @@ public:
         const NodeId p1 = primes(f1);
 
         // Primes mentioning x̄ / x are primes of the cofactor that are not
-        // implicants (equivalently, not primes) of f0·f1 — the fused
-        // p \ (p ∩ pc) pattern, canonical-identical to diff.
+        // implicants (equivalently, not primes) of f0·f1.
         const Zdd pcz = zmgr_.handle(pc);
-        const Zdd only0 = zmgr_.diff_intersect(zmgr_.handle(p0), pcz);
-        const Zdd only1 = zmgr_.diff_intersect(zmgr_.handle(p1), pcz);
+        const Zdd only0 = zmgr_.diff(zmgr_.handle(p0), pcz);
+        const Zdd only1 = zmgr_.diff(zmgr_.handle(p1), pcz);
 
         // Attach the literal variables. All primes of cofactors contain only
         // literals of inputs > v, so direct node construction keeps ordering.

@@ -28,7 +28,7 @@
 //     formation is invisible to callers; runs longer than 255 levels split
 //     into segments.
 //   * A lossy, growable 4-way set-associative computed cache (dd_common.hpp)
-//     memoises operations; fused compound operators (diff_intersect,
+//     memoises operations; fused compound operators (split,
 //     non_sub_set/non_sup_set, the cofactor pair) get their own memo slots.
 //   * External references are RAII handles (class Zdd). Garbage collection is
 //     mark-and-sweep from the externally referenced roots; it runs only
@@ -152,11 +152,10 @@ public:
     // Each fuses a two-operator pattern of the implicit covering phase into a
     // single individually-memoised recursion. By canonicity the results are
     // structurally identical (same NodeId) to the composed forms.
-    /// a \ (a ∩ b). Algebraically equal to diff(a, b), so the fusion is the
-    /// identity a \ (a∩b) ≡ a \ b computed in ONE pass sharing the diff memo
-    /// (the composed form walks both operands twice and allocates the
-    /// intermediate intersection).
-    Zdd diff_intersect(const Zdd& a, const Zdd& b);
+    /// (a ∩ b, a − b) in one walk with a pair-memo: the partition-refinement
+    /// step of the covering-table build. When a ∩ b is empty the difference
+    /// is `a` itself, returned without rebuilding it.
+    std::pair<Zdd, Zdd> split(const Zdd& a, const Zdd& b);
     /// { f ∈ a : ∀g ∈ b, f ⊄ g } — a − sub_set(a, b) in one pass.
     Zdd non_sub_set(const Zdd& a, const Zdd& b);
     /// { f ∈ a : ∀g ∈ b, f ⊉ g } — a − sup_set(a, b) in one pass.
@@ -323,8 +322,10 @@ private:
         kNonSubSet,
         kNonSupSet,
         kCofactors,
+        kSplit,
     };
 
+    /// cofactors: (subset0, subset1); split: (a ∩ b, a − b).
     struct NodePair {
         NodeId lo = kEmpty;
         NodeId hi = kEmpty;
@@ -344,6 +345,7 @@ private:
     NodeId subset0_rec(NodeId a, Var v);
     NodeId subset1_rec(NodeId a, Var v);
     NodePair cofactors_rec(NodeId a, Var v);
+    NodePair split_rec(NodeId a, NodeId b);
     NodeId change_rec(NodeId a, Var v);
     NodeId drop_empty(NodeId a);
     bool contains_empty(NodeId a) const noexcept;
@@ -400,7 +402,7 @@ private:
 
     UniqueTable<Node> table_;
     ComputedCache<NodeId> cache_;
-    ComputedCache<NodePair> pair_cache_;  // memo for the fused cofactor pair
+    ComputedCache<NodePair> pair_cache_;  // memo for cofactors and split
     GcStats gc_stats_;
     ChainStats chain_stats_;
     CacheStats cache_flushed_;  // values already rolled up by flush_stats()

@@ -9,6 +9,7 @@
 #include "gen/pla_gen.hpp"
 #include "solver/bnb.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -16,14 +17,16 @@ using ucp::cov::Index;
 using ucp::cover::build_covering_table;
 using ucp::cover::CoveringTable;
 using ucp::cover::PrimeMethod;
+using ucp::cover::RowMethod;
 using ucp::cover::TableBuildOptions;
 using ucp::pla::Pla;
 
-Pla random_pla(std::uint64_t seed, std::uint32_t n, std::uint32_t m) {
+Pla random_pla(std::uint64_t seed, std::uint32_t n, std::uint32_t m,
+               std::uint32_t cubes = 12) {
     ucp::gen::RandomPlaOptions opt;
     opt.num_inputs = n;
     opt.num_outputs = m;
-    opt.num_cubes = 12;
+    opt.num_cubes = cubes;
     opt.literal_prob = 0.55;
     opt.dc_fraction = 0.2;
     opt.seed = seed;
@@ -54,19 +57,53 @@ std::set<std::vector<Index>> explicit_signatures(const Pla& pla,
     return rows;
 }
 
-TEST(TableBuilder, SignatureClassesMatchExplicitEnumeration) {
-    ucp::Rng seeds(81);
-    for (int trial = 0; trial < 12; ++trial) {
-        const Pla p = random_pla(seeds(), 6, 1 + trial % 3);
-        const CoveringTable t = build_covering_table(p);
-        const auto expected = explicit_signatures(p, t.primes);
+/// Same rows in the same order, entry by entry.
+bool same_rows(const ucp::cov::CoverMatrix& a, const ucp::cov::CoverMatrix& b) {
+    if (a.num_rows() != b.num_rows() || a.num_cols() != b.num_cols()) return false;
+    for (Index i = 0; i < a.num_rows(); ++i)
+        if (a.row(i) != b.row(i)) return false;
+    return true;
+}
 
-        std::set<std::vector<Index>> got;
-        for (Index i = 0; i < t.matrix.num_rows(); ++i)
-            got.insert(t.matrix.row(i));
-        EXPECT_EQ(got, expected) << p.name;
-        EXPECT_EQ(t.matrix.num_rows(), expected.size());
+TEST(TableBuilder, SignatureClassesMatchExplicitEnumeration) {
+    const auto counter = [](const char* name) {
+        return ucp::stats::counter(name).value();
+    };
+    const std::uint64_t disjoint0 = counter("cover.box_disjoint");
+    const std::uint64_t contained0 = counter("cover.box_contained");
+    const std::uint64_t splits0 = counter("cover.dd_splits");
+
+    ucp::Rng seeds(81);
+    std::vector<Pla> plas;
+    for (int trial = 0; trial < 12; ++trial)
+        plas.push_back(random_pla(seeds(), 6, 1 + trial % 3));
+    // Wider functions, where the class supercubes settle most pairs.
+    for (std::uint32_t trial = 0; trial < 6; ++trial)
+        plas.push_back(
+            random_pla(seeds(), 10 + trial % 3, 1 + trial % 2, 20 + 2 * trial));
+
+    for (const Pla& p : plas) {
+        for (const bool chain : {true, false}) {
+            SCOPED_TRACE(p.name + (chain ? " chain on" : " chain off"));
+            TableBuildOptions opt;
+            opt.dd.chain_nodes = chain;
+            opt.row_method = RowMethod::kImplicit;
+            const CoveringTable t = build_covering_table(p, opt);
+            opt.row_method = RowMethod::kExplicit;
+            EXPECT_TRUE(same_rows(t.matrix, build_covering_table(p, opt).matrix));
+
+            const auto expected = explicit_signatures(p, t.primes);
+            std::set<std::vector<Index>> got;
+            for (Index i = 0; i < t.matrix.num_rows(); ++i)
+                got.insert(t.matrix.row(i));
+            EXPECT_EQ(got, expected);
+            EXPECT_EQ(t.matrix.num_rows(), expected.size());
+        }
     }
+    // Both cube tests and the ZDD split must each have settled some pairs.
+    EXPECT_GT(counter("cover.box_disjoint"), disjoint0);
+    EXPECT_GT(counter("cover.box_contained"), contained0);
+    EXPECT_GT(counter("cover.dd_splits"), splits0);
 }
 
 TEST(TableBuilder, OnsetMintermCountMatches) {

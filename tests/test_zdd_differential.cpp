@@ -242,11 +242,15 @@ void run_trajectory(std::uint64_t seed, std::size_t steps,
                 expect = o_maximal(oracle[i]);
                 got = mgr.maximal(dd[i]);
                 break;
-            case 11:
-                // Fused: a \ (a ∩ b) — oracle computes the composed form.
-                expect = o_diff(oracle[i], o_intersect(oracle[i], oracle[j]));
-                got = mgr.diff_intersect(dd[i], dd[j]);
+            case 11: {
+                // Fused: (a ∩ b, a − b) in one walk; both halves checked.
+                const auto [in, out] = mgr.split(dd[i], dd[j]);
+                ASSERT_EQ(to_family(mgr, in), o_intersect(oracle[i], oracle[j]))
+                    << "step " << step << " seed " << seed;
+                expect = o_diff(oracle[i], oracle[j]);
+                got = out;
                 break;
+            }
         }
         ASSERT_EQ(to_family(mgr, got), expect)
             << "step " << step << " seed " << seed;
@@ -289,8 +293,9 @@ TEST(ZddDifferential, FusedOpsAreStructurallyIdentical) {
         const Zdd a = to_zdd(mgr, random_oracle_family(rng, 12, 1 + rng.below(20)));
         const Zdd b = to_zdd(mgr, random_oracle_family(rng, 12, 1 + rng.below(20)));
 
-        EXPECT_EQ(mgr.diff_intersect(a, b).id(),
-                  mgr.diff(a, mgr.intersect(a, b)).id());
+        const auto [in, out] = mgr.split(a, b);
+        EXPECT_EQ(in.id(), mgr.intersect(a, b).id());
+        EXPECT_EQ(out.id(), mgr.diff(a, b).id());
         EXPECT_EQ(mgr.non_sub_set(a, b).id(),
                   mgr.diff(a, mgr.sub_set(a, b)).id());
         EXPECT_EQ(mgr.non_sup_set(a, b).id(),
@@ -373,11 +378,16 @@ TEST(ZddDifferential, ChainOnVsChainOffLockstep) {
                 cgot = cm.union_(cdd[i], cdd[j]);
                 pgot = pm.union_(pdd[i], pdd[j]);
                 break;
-            case 1:
-                expect = o_diff(oracle[i], o_intersect(oracle[i], oracle[j]));
-                cgot = cm.diff_intersect(cdd[i], cdd[j]);
-                pgot = pm.diff_intersect(pdd[i], pdd[j]);
+            case 1: {
+                const auto [cand, cdiff] = cm.split(cdd[i], cdd[j]);
+                const auto [pand, pdiff] = pm.split(pdd[i], pdd[j]);
+                ASSERT_EQ(to_family(cm, cand), o_intersect(oracle[i], oracle[j]));
+                ASSERT_EQ(to_family(pm, pand), o_intersect(oracle[i], oracle[j]));
+                expect = o_diff(oracle[i], oracle[j]);
+                cgot = cdiff;
+                pgot = pdiff;
                 break;
+            }
             case 2:
                 expect = o_product(oracle[i], oracle[j]);
                 cgot = cm.product(cdd[i], cdd[j]);
@@ -436,6 +446,10 @@ TEST(ZddDifferential, ChainOnVsChainOffLockstep) {
                       cm.diff(cdd[i], cm.sup_set(cdd[i], cdd[j])).id());
             ASSERT_EQ(pm.non_sup_set(pdd[i], pdd[j]).id(),
                       pm.diff(pdd[i], pm.sup_set(pdd[i], pdd[j])).id());
+            ASSERT_EQ(cm.split(cdd[i], cdd[j]).first.id(),
+                      cm.intersect(cdd[i], cdd[j]).id());
+            ASSERT_EQ(cm.split(cdd[i], cdd[j]).second.id(),
+                      cm.diff(cdd[i], cdd[j]).id());
         }
     }
 
