@@ -5,9 +5,9 @@
 // the partitioning reduction *dynamically*: after every reduce-to-core the
 // live structure is scanned for independent blocks (matrix/components.hpp)
 // and each block is solved as its own subproblem — at the root as (block,
-// root branch) tasks fanned out by parallel_for, inside the tree
-// sequentially with per-block thresholds. Correctness of the cross-block
-// pruning rests on one recombination identity, proven in DESIGN.md §11:
+// branch path) tasks up to two levels deep, fanned out by parallel_for,
+// inside the tree sequentially with per-block thresholds. Correctness of the
+// cross-block pruning rests on one recombination identity (DESIGN.md §11):
 // with per-block results B*_b found under thresholds derived from the shared
 // incumbent and the other blocks' lower bounds,
 //
@@ -19,11 +19,13 @@
 #include "solver/bnb.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "lagrangian/dual_ascent.hpp"
 #include "lagrangian/penalties.hpp"
@@ -69,6 +71,24 @@ stats::Counter& blocks_pruned_counter() {
 stats::Counter& core_copies_skipped_counter() {
     static stats::Counter& c = stats::counter("bnb.core_copies_skipped");
     return c;
+}
+stats::Counter& root_tasks_idle_counter() {
+    static stats::Counter& c = stats::counter("bnb.root_tasks_idle");
+    return c;
+}
+
+/// True when every remaining branch index of a root-split path is 0: of the
+/// subtasks that reach a path node, that one settles it (DESIGN.md §11).
+bool zero_path(std::span<const std::size_t> path) {
+    return std::all_of(path.begin(), path.end(),
+                       [](std::size_t k) { return k == 0; });
+}
+
+/// Frees what a search frame no longer reads before it branches, so a deep
+/// stack keeps only the matrices it branches on.
+template <class... T>
+void release(T&... x) {
+    ((x = T()), ...);
 }
 
 // ---- cross-block shared state ----------------------------------------------
@@ -270,10 +290,17 @@ Cost core_bound(const CoverMatrix& core, const BnbOptions& opt,
     return mis.bound;
 }
 
-void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
-             const std::vector<Index>& fixed, Cost cost_so_far,
-             std::vector<Index>& chosen, Ctx& ctx, Scope& scope,
-             int only_branch = -1);
+constexpr Index kNoColumn = ~Index{0};
+
+/// Expands one node and searches below it. The node is `parent` without the
+/// columns marked in `parent_forbidden` (when given) and with column `fixed`
+/// (a `parent` index, or kNoColumn) chosen; `parent_map` gives each `parent`
+/// column its original index. A root-split subtask passes its branch `path`:
+/// at a path node only branch path[0] descends (DESIGN.md §11).
+void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
+             const std::vector<bool>* parent_forbidden, Index fixed,
+             Cost cost_so_far, std::vector<Index>& chosen, Ctx& ctx,
+             Scope& scope, std::span<const std::size_t> path = {});
 
 /// Solves an expanded node whose core splits into k ≥ 2 independent blocks
 /// (parts[b].col_map already remapped to ORIGINAL column indices): each
@@ -317,7 +344,8 @@ void solve_node_blocks(const std::vector<cov::Partition>& parts, Cost cost,
             sub.offer(g.cost, seed);
         }
         sub_chosen.clear();
-        recurse(parts[b].matrix, block_map, {}, 0, sub_chosen, ctx, sub);
+        recurse(parts[b].matrix, block_map, nullptr, kNoColumn, 0, sub_chosen,
+                ctx, sub);
         if (ctx.aborted.load(std::memory_order_relaxed)) return;
         // A standalone scope search is exhaustive below its final best, so
         // found ⇒ sub.best() is the block optimum; not found ⇒ opt_b ≥ t.
@@ -332,10 +360,26 @@ void solve_node_blocks(const std::vector<cov::Partition>& parts, Cost cost,
     scope.offer(cost + solved, cand);
 }
 
-void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
-             const std::vector<Index>& fixed, Cost cost_so_far,
-             std::vector<Index>& chosen, Ctx& ctx, Scope& scope,
-             int only_branch) {
+void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
+             const std::vector<bool>* parent_forbidden, Index fixed,
+             Cost cost_so_far, std::vector<Index>& chosen, Ctx& ctx,
+             Scope& scope, std::span<const std::size_t> path) {
+    // A branch k > 0 child strips the columns its parent forbids into a copy
+    // it owns, freed before this frame branches.
+    CoverMatrix own;
+    std::vector<Index> own_map;
+    if (parent_forbidden != nullptr) {
+        if (!cov::strip_columns(parent, *parent_forbidden, own, own_map))
+            return;  // a row lost all its columns: no cover down here
+        fixed = static_cast<Index>(
+            std::find(own_map.begin(), own_map.end(), fixed) - own_map.begin());
+        UCP_ASSERT(fixed < own.num_cols());
+        for (auto& j : own_map) j = parent_map[j];
+    }
+    const CoverMatrix& mat = parent_forbidden != nullptr ? own : parent;
+    const std::vector<Index>& col_map =
+        parent_forbidden != nullptr ? own_map : parent_map;
+
     if (ctx.aborted.load(std::memory_order_relaxed)) return;
     if (ctx.out_of_budget()) {
         ctx.abort();
@@ -350,23 +394,32 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
     cov::InplaceReduceResult red;
     {
         TRACE_SPAN_ITER("bnb.reduce");
-        red = cov::reduce_to_view(mat, view, fixed);
+        red = cov::reduce_to_view(
+            mat, view, fixed == kNoColumn ? std::vector<Index>{}
+                                          : std::vector<Index>{fixed});
     }
     const std::size_t chosen_mark = chosen.size();
     Cost cost = cost_so_far + red.fixed_cost;
     for (const Index j : red.essential_cols) chosen.push_back(col_map[j]);
 
     const auto unwind = [&] { chosen.resize(chosen_mark); };
+    // Of the root-split subtasks that reach a path node, only the one whose
+    // remaining path is all zeros settles it; the others expand no branch.
+    const bool settles = zero_path(path);
+    const auto settled = [&] {
+        if (!settles) root_tasks_idle_counter().add();
+        unwind();
+    };
 
     if (cost >= scope.bound()) {
         core_copies_skipped_counter().add();
-        unwind();
+        settled();
         return;
     }
     if (view.num_live_rows() == 0) {  // reductions solved the node
         core_copies_skipped_counter().add();
         scope.offer(cost, chosen);
-        unwind();
+        settled();
         return;
     }
 
@@ -374,7 +427,7 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
     // the limit-bound strip and branching. Nodes cut above (inherited-cost
     // prune or solved by reduction) never pay this copy.
     std::vector<Index> core_rel_cols, core_rel_rows;
-    const CoverMatrix core = view.compact(core_rel_cols, core_rel_rows);
+    CoverMatrix core = view.compact(core_rel_cols, core_rel_rows);
 
     // Compose the core's column mapping.
     std::vector<Index> core_map(core.num_cols());
@@ -383,7 +436,7 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
 
     // One MIS per node: it feeds the kMis bound choice and the limit-bound
     // strip below.
-    const lagr::MisResult mis = lagr::mis_lower_bound(core);
+    lagr::MisResult mis = lagr::mis_lower_bound(core);
     std::vector<Index> inc;
     Cost inc_cost = 0;
     const Cost lb = core_bound(core, ctx.opt, mis, &inc, &inc_cost);
@@ -394,21 +447,20 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
         scope.offer(cost + inc_cost, cand);
     }
     if (cost + lb >= scope.bound()) {
-        unwind();
+        settled();
         return;
     }
 
     // Limit-bound theorem: discard columns that cannot be in an improving
     // solution. The upper bound fed to the fixing rule is the scope bound,
     // i.e. the globally cross-seeded incumbent share, not just this block's
-    // own best. Skipped for root-split subtasks: the strip depends on the
+    // own best. Skipped at root-split path nodes: the strip depends on the
     // time-varying bound and every subtask of a block must branch on the
     // same column set.
     const CoverMatrix* work = &core;
     CoverMatrix stripped;
-    std::vector<Index> stripped_map;
     bool strip_fired = false;
-    if (ctx.opt.use_limit_bound && only_branch < 0) {
+    if (ctx.opt.use_limit_bound && path.empty()) {
         const auto removals = lagr::limit_bound_removals(
             core, mis.rows, cost + mis.bound, scope.bound());
         if (!removals.empty()) {
@@ -419,11 +471,9 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
                 unwind();
                 return;  // no improving solution in this subtree
             }
-            stripped_map.resize(rel_map.size());
-            for (std::size_t j = 0; j < rel_map.size(); ++j)
-                stripped_map[j] = core_map[rel_map[j]];
+            for (auto& j : rel_map) j = core_map[j];
+            core_map = std::move(rel_map);
             work = &stripped;
-            core_map = stripped_map;
             strip_fired = true;
         }
     }
@@ -451,11 +501,15 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
             }
         }
         if (!parts.empty()) {
-            solve_node_blocks(parts, cost, chosen, ctx, scope);
-            unwind();
+            if (settles) solve_node_blocks(parts, cost, chosen, ctx, scope);
+            settled();
             return;
         }
     }
+
+    // Lean frame: branching reads only `work`, `core_map` and `chosen`.
+    release(view, red, core_rel_cols, core_rel_rows, mis, inc, own, own_map);
+    if (strip_fired) release(core);
 
     // Branch on the columns of a shortest row (complete disjunction). Each
     // branch k fixes column j_k and forbids j_1..j_{k-1}.
@@ -473,41 +527,21 @@ void recurse(const CoverMatrix& mat, const std::vector<Index>& col_map,
         return sx < sy;
     });
 
+    if (!path.empty() && path[0] >= branch_cols.size()) {
+        settled();  // the path runs past this node's branches
+        return;
+    }
+    const auto rest = path.empty() ? path : path.subspan(1);
     std::vector<bool> forbidden(work->num_cols(), false);
     for (std::size_t k = 0; k < branch_cols.size(); ++k) {
         const Index j = branch_cols[k];
-        if (only_branch >= 0 && static_cast<std::size_t>(only_branch) != k) {
+        if (!path.empty() && path[0] != k) {
             forbidden[j] = true;  // this branch belongs to a sibling subtask
             continue;
         }
-        CoverMatrix child;
-        std::vector<Index> child_rel;
-        const CoverMatrix* child_mat = work;
-        std::vector<Index> child_map = core_map;
-        if (k > 0) {
-            if (!cov::strip_columns(*work, forbidden, child, child_rel)) {
-                forbidden[j] = true;
-                continue;  // row lost all columns: skip this branch
-            }
-            child_map.resize(child_rel.size());
-            for (std::size_t t = 0; t < child_rel.size(); ++t)
-                child_map[t] = core_map[child_rel[t]];
-            child_mat = &child;
-        }
-        // Locate j in the child matrix.
-        Index j_child = j;
-        if (k > 0) {
-            j_child = child_mat->num_cols();
-            for (Index t = 0; t < child_mat->num_cols(); ++t)
-                if (child_map[t] == core_map[j]) {
-                    j_child = t;
-                    break;
-                }
-            UCP_ASSERT(j_child < child_mat->num_cols());
-        }
         chosen.push_back(core_map[j]);
-        recurse(*child_mat, child_map, {j_child}, cost + work->cost(j), chosen,
-                ctx, scope);
+        recurse(*work, core_map, k > 0 ? &forbidden : nullptr, j,
+                cost + work->cost(j), chosen, ctx, scope, rest);
         chosen.pop_back();
         forbidden[j] = true;
         if (ctx.aborted.load(std::memory_order_relaxed)) break;
@@ -674,7 +708,8 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
     // ---- task set: searchable blocks, optionally root-split ----------------
     struct Task {
         Index block;
-        int branch;  // -1 = whole block, else one root branch
+        std::array<std::size_t, 2> path{};  // root branch indices, top down
+        std::size_t depth = 0;  // entries of `path` used; 0 = whole block
     };
     std::vector<Index> searchable;
     for (Index b = 0; b < num_blocks; ++b) {
@@ -688,48 +723,63 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
 
     const unsigned want_threads = resolve_threads(opt.num_threads);
     std::vector<Task> tasks;
-    for (const Index b : searchable) tasks.push_back(Task{b, -1});
-    // Root-split: when blocks alone cannot feed every worker, expand large
-    // blocks one level and make each root branch its own (block, partial-
-    // assignment) subtask. Requires the block to be a reduction fixpoint so
-    // every subtask recomputes the identical branch set (blocks of a fully
-    // reduced core are; a dominance-capped reduce voids the guarantee).
+    for (const Index b : searchable) tasks.push_back(Task{b});
+    // Root split: when blocks alone cannot feed every worker, a large block
+    // becomes one task per root branch k1 and, if that is still too few, one
+    // per (k1, k2) with k2 below the block's longest row, which bounds every
+    // descendant's branch count (rows only lose columns). Requires the block
+    // to be a reduction fixpoint so every subtask recomputes the identical
+    // branch set (blocks of a fully reduced core are; a dominance-capped
+    // reduce voids the guarantee).
     if (want_threads > 1 && searchable.size() < want_threads &&
         !root.dominance_skipped) {
-        tasks.clear();
+        // Per block: root branches (its shortest row; 0 = too small to
+        // split) and its longest row.
+        std::vector<std::size_t> k1s(num_blocks, 0), longest(num_blocks, 0);
+        std::size_t one_level = 0;
         for (const Index b : searchable) {
             const CoverMatrix& bm = parts[b].matrix;
-            if (bm.num_rows() < kMinSplitRows) {
-                tasks.push_back(Task{b, -1});
-                continue;
+            if (bm.num_rows() >= kMinSplitRows) k1s[b] = bm.num_cols();
+            for (Index i = 0; k1s[b] > 0 && i < bm.num_rows(); ++i) {
+                k1s[b] = std::min(k1s[b], bm.row(i).size());
+                longest[b] = std::max(longest[b], bm.row(i).size());
             }
-            Index shortest = 0;
-            for (Index i = 1; i < bm.num_rows(); ++i)
-                if (bm.row(i).size() < bm.row(shortest).size()) shortest = i;
-            const int branches = static_cast<int>(bm.row(shortest).size());
-            for (int k = 0; k < branches; ++k) tasks.push_back(Task{b, k});
+            one_level += std::max<std::size_t>(k1s[b], 1);
+        }
+        tasks.clear();
+        const bool deep = one_level < want_threads;
+        for (const Index b : searchable) {
+            if (k1s[b] == 0) tasks.push_back(Task{b});
+            for (std::size_t k1 = 0; k1 < k1s[b]; ++k1)
+                for (std::size_t k2 = 0; k2 < (deep ? longest[b] : 1); ++k2)
+                    tasks.push_back(Task{b, {k1, k2}, deep ? 2u : 1u});
         }
     }
+    static stats::Counter& c_tasks = stats::counter("bnb.root_tasks");
+    c_tasks.add(tasks.size());
     for (const Task& t : tasks) ++blocks[t.block].tasks_left;
 
     const unsigned workers = resolve_threads(opt.num_threads, tasks.size());
     std::atomic<int> first_stop{static_cast<int>(Status::kOk)};
 
-    // Tasks go out in index order — by block, then by root branch, so each
+    // Tasks go out in index order — by block, then by branch path, so each
     // block's most promising branch starts first. One worker is the
     // sequential reference execution: tasks in order, the caller's governor
     // charged directly (cumulative, like the pre-parallel solver). With more,
     // every task runs under its own fork of the governor.
     parallel_for(tasks.size(), static_cast<int>(workers), [&](std::size_t i) {
         const Task& t = tasks[i];
+        const std::span<const std::size_t> path(t.path.data(), t.depth);
         BlockInfo& bi = blocks[t.block];
         {
             TRACE_SPAN("bnb.block");
             if (bi.scope.bound() <=
                 shared.lb[t.block].load(std::memory_order_relaxed)) {
                 // The block's share of the incumbent already meets its lower
-                // bound: prune without expansion.
-                if (t.branch <= 0) blocks_pruned_counter().add();
+                // bound: prune without expansion (counted once per block).
+                (zero_path(path) ? blocks_pruned_counter()
+                                 : root_tasks_idle_counter())
+                    .add();
             } else {
                 std::optional<Budget> forked;
                 Budget* gov = opt.governor;
@@ -739,8 +789,8 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
                 }
                 Ctx ctx(opt, gov, nodes, aborted);
                 std::vector<Index> chosen;
-                recurse(parts[t.block].matrix, parts[t.block].col_map, {}, 0,
-                        chosen, ctx, bi.scope, t.branch);
+                recurse(parts[t.block].matrix, parts[t.block].col_map, nullptr,
+                        kNoColumn, 0, chosen, ctx, bi.scope, path);
                 if (ctx.stop != Status::kOk) {
                     int expected = static_cast<int>(Status::kOk);
                     first_stop.compare_exchange_strong(

@@ -47,12 +47,14 @@ struct BnbOptions {
     /// per-block bounds (the partitioning reduction of paper §2, applied
     /// dynamically).
     bool decompose = true;
-    /// Worker threads for the top-level (block, root branch) tasks, which
-    /// parallel_for hands out in index order. 1 = fully sequential (the
-    /// deterministic reference execution), ≤ 0 = default_threads() (honours
-    /// UCP_THREADS). The optimal cost is bit-identical across thread counts;
-    /// only the tie choice among equal-cost covers, node counts and trip
-    /// points may differ.
+    /// Worker threads for the top-level tasks, which parallel_for hands out
+    /// in index order: one per block, or, with fewer blocks than workers,
+    /// one per root branch of each block, or per pair of branches on the
+    /// first two levels when root branches are still fewer than workers.
+    /// 1 = fully sequential (the deterministic reference execution), ≤ 0 =
+    /// default_threads() (honours UCP_THREADS). The optimal cost is
+    /// bit-identical across thread counts; only the tie choice among
+    /// equal-cost covers, node counts and trip points may differ.
     int num_threads = 1;
     /// Optional warm incumbent (original column indices). Checked for
     /// feasibility, made irredundant, and adopted when it beats the greedy

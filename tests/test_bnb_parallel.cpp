@@ -5,8 +5,12 @@
 // more than one), and pin the block counters on crafted instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "gen/scp_gen.hpp"
 #include "solver/bnb.hpp"
+#include "solver/greedy.hpp"
 #include "util/budget.hpp"
 #include "util/fault.hpp"
 #include "util/mem_budget.hpp"
@@ -89,6 +93,89 @@ TEST(BnbParallel, DifferentialRandomSingleAndMultiBlock) {
         const CoverMatrix m = block_diagonal(parts);
         expect_parallel_matches_reference(
             m, ("trial " + std::to_string(trial)).c_str());
+    }
+    // perfbench's scp_exact shape: one block with 2-3 root branches, which
+    // 4 and 8 workers split two levels deep.
+    for (int trial = 0; trial < 3; ++trial) {
+        ucp::gen::UnicostScpOptions u;
+        u.rows = 100;
+        u.cols = 45;
+        u.cols_per_row = 3;
+        u.seed = seeds();
+        expect_parallel_matches_reference(
+            ucp::gen::unicost_scp(u),
+            ("unicost trial " + std::to_string(trial)).c_str());
+    }
+}
+
+TEST(BnbParallel, TwoLevelSplitSearchesEveryBranchOnce) {
+    // Single blocks with at most 3 root branches, so 4 and 8 workers split
+    // them two levels deep. Their depth-1 nodes (a) split into blocks: a
+    // weighted random block and STS(9) joined by one 2-column row, the
+    // branch row; (b) are solved by their reductions: C(10, 3) minus one
+    // column's rows is an interval matrix; (c) have 2 branches, fewer than
+    // the 3 columns of the longest row: STS(15) below root branches 1 and
+    // 2. Of the subtasks that reach such a node, only the all-zero path
+    // settles it; the rest are idle.
+    ucp::gen::RandomScpOptions g;
+    g.rows = 12;
+    g.cols = 14;
+    g.density = 0.25;
+    g.max_cost = 3;
+    g.seed = 78;
+    const CoverMatrix weighted = ucp::gen::random_scp(g);
+    const CoverMatrix pair =
+        block_diagonal({weighted, ucp::gen::steiner_triple_cover(9)});
+    std::vector<std::vector<Index>> rows;
+    std::vector<Cost> costs;
+    for (Index i = 0; i < pair.num_rows(); ++i)
+        rows.emplace_back(pair.row(i).begin(), pair.row(i).end());
+    rows.push_back({0, weighted.num_cols()});
+    for (Index j = 0; j < pair.num_cols(); ++j) costs.push_back(pair.cost(j));
+    const CoverMatrix linked = CoverMatrix::from_rows(
+        pair.num_cols(), std::move(rows), std::move(costs));
+    // The reference search never decomposes a node. Against it, a node
+    // that no subtask searches leaves a worse answer standing: the greedy
+    // cover of the "decomposes" case is not optimal.
+    BnbOptions whole;
+    whole.decompose = false;
+    EXPECT_GT(ucp::solver::chvatal_greedy(linked).cost,
+              solve_exact(linked, whole).cost);
+
+    const std::pair<const char*, CoverMatrix> cases[] = {
+        {"decomposes", linked},
+        {"solved-by-reductions", ucp::gen::cyclic_matrix(10, 3)},
+        {"fewer-branches", ucp::gen::steiner_triple_cover(15)}};
+    auto& root_tasks = ucp::stats::counter("bnb.root_tasks");
+    auto& idle = ucp::stats::counter("bnb.root_tasks_idle");
+    for (const auto& [label, m] : cases) {
+        const auto ref = solve_exact(m, whole);
+        ASSERT_TRUE(ref.optimal) << label;
+        std::size_t root_branches = m.num_cols();
+        for (Index i = 0; i < m.num_rows(); ++i)
+            root_branches = std::min(root_branches, m.row(i).size());
+
+        for (const int threads : {1, 2, 3, 4, 8}) {
+            BnbOptions opt;
+            opt.num_threads = threads;
+            const auto tasks0 = root_tasks.value();
+            const auto idle0 = idle.value();
+            const auto r = solve_exact(m, opt);
+            EXPECT_EQ(r.blocks, 1u) << label << " threads=" << threads;
+            EXPECT_EQ(r.cost, ref.cost) << label << " threads=" << threads;
+            EXPECT_EQ(r.optimal, ref.optimal) << label << " threads=" << threads;
+            EXPECT_EQ(r.lower_bound, ref.lower_bound)
+                << label << " threads=" << threads;
+            EXPECT_TRUE(m.is_feasible(r.solution))
+                << label << " threads=" << threads;
+            if (threads != 4) continue;
+            const auto tasks = root_tasks.value() - tasks0;
+            const auto idle_tasks = idle.value() - idle0;
+            EXPECT_GT(tasks, root_branches) << label;
+            // A settled path node was searched by one subtask, not by all.
+            EXPECT_GT(idle_tasks, 0u) << label;
+            EXPECT_LT(idle_tasks, tasks) << label;
+        }
     }
 }
 
