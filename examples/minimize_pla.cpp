@@ -76,6 +76,9 @@ void print_json(std::ostream& os, const ucp::solver::TwoLevelResult& r,
        << ", \"verified\": " << (r.verified ? "true" : "false")
        << ", \"num_primes\": " << r.num_primes
        << ", \"num_rows\": " << r.num_rows
+       << ", \"prime_method\": \"" << ucp::cover::to_string(r.prime_method)
+       << "\", \"row_method\": \"" << ucp::cover::to_string(r.row_method)
+       << "\""
        << ", \"total_seconds\": " << r.total_seconds;
     if (mem != nullptr)
         os << ", \"mem_high_water_bytes\": " << mem->high_water()

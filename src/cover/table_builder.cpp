@@ -24,9 +24,14 @@ using zdd::ZddManager;
 
 namespace {
 
-/// Prime-count cap of both prime paths: an implicit result above it degrades
-/// to consensus under kAuto, and consensus throws past it.
+/// Prime-count cap of both generators: past it either one stops with a
+/// node-budget trip.
 constexpr std::size_t kMaxPrimes = 200'000;
+/// kAuto's consensus budget (DESIGN.md §8). A sparse function absorbs almost
+/// no cube, so consensus finishes first; a dense one absorbs cubes by the
+/// hundred and goes to the implicit generator. The check cap bounds a run
+/// that absorbs nothing but has many primes.
+constexpr primes::ConsensusBudget kConsensusBudget{16, std::size_t{1} << 20};
 
 std::vector<zdd::LitSpec> cube_spec(const CubeSpace& s, const Cube& c) {
     std::vector<zdd::LitSpec> spec(s.num_inputs, zdd::LitSpec::kDontCare);
@@ -57,10 +62,12 @@ struct MemberFirstLess {
     }
 };
 
-/// Single-output primes in the implicit generator's emission order:
-/// ZddManager::for_each_set takes the hi branch first over ascending literal
-/// variables (pos_lit / neg_lit), which is MemberFirstLess over each prime's
-/// variables. Both prime paths then give the table the same column order.
+/// Primes in the implicit generator's emission order: ZddManager::for_each_set
+/// takes the hi branch first over ascending literal variables (pos_lit /
+/// neg_lit), which is MemberFirstLess over each prime's variables. The y_k
+/// literals of unasserted outputs need no key: they sort after every input
+/// literal, and no two multi-output primes share an input part. Both prime
+/// paths then give the table the same column order.
 Cover in_implicit_order(const Cover& primes) {
     const CubeSpace& s = primes.space();
     std::vector<std::pair<std::vector<Index>, std::size_t>> keyed;
@@ -83,49 +90,39 @@ Cover in_implicit_order(const Cover& primes) {
     return out;
 }
 
-/// Multi-output primes of the care function, per the chosen method. Under
-/// kAuto a node-budget trip in the implicit generator degrades to the
-/// consensus path (the prime set of a function is canonical, and
-/// in_implicit_order gives it the implicit order, so the columns are the same
-/// either way).
+/// Multi-output primes of the care function in the implicit generator's
+/// order, and the generator that produced them. kAuto runs consensus under
+/// kConsensusBudget and hands a function that exceeds it to the implicit
+/// generator; a node-budget trip there degrades to unbudgeted consensus (the
+/// prime set of a function is canonical, so the columns are the same
+/// whichever generator ran).
 Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
-                      bool& used_implicit) {
+                      PrimeMethod& used) {
     TRACE_SPAN("table.primes");
     const CubeSpace& s = pla.space();
     Cover care = pla.on;
     care.append(pla.dc);
 
-    const bool single_output = s.num_outputs == 1;
-    PrimeMethod method = opt.method;
-    if (method == PrimeMethod::kAuto)
-        method = single_output ? PrimeMethod::kImplicit : PrimeMethod::kConsensus;
-    if (method == PrimeMethod::kImplicit && !single_output)
-        throw BadInputError(
-            "implicit prime generation supports single-output functions only");
-
-    if (method == PrimeMethod::kImplicit) {
+    used = PrimeMethod::kConsensus;
+    if (opt.method == PrimeMethod::kAuto) {
         try {
-            used_implicit = true;
-            ZddManager zmgr(2 * s.num_inputs, opt.dd);
-            const Cover care_in = care.restricted_to_output(0);
-            const auto result = primes::implicit_primes(zmgr, care_in, opt.dd);
+            return in_implicit_order(primes::primes_by_consensus(
+                care, kMaxPrimes, nullptr, kConsensusBudget));
+        } catch (const ResourceError& e) {
+            if (e.status() != Status::kNodeBudget) throw;
+            stats::counter("primes.consensus_capped").add();
+        }
+    }
+    if (opt.method != PrimeMethod::kConsensus) {
+        try {
+            ZddManager zmgr(2 * (s.num_inputs + s.num_outputs), opt.dd);
+            const auto result = primes::implicit_primes(zmgr, care, opt.dd);
             if (result.prime_count > static_cast<double>(kMaxPrimes))
                 throw ResourceError(Status::kNodeBudget,
                                     "implicit prime count exceeds the prime cap");
-            const Cover in_primes =
-                primes::primes_zdd_to_cover(zmgr, result.primes, s.num_inputs);
-
-            // Re-attach the single output.
-            Cover out(s);
-            const CubeSpace in_space{s.num_inputs, 0};
-            for (const auto& c : in_primes) {
-                Cube mc = Cube::full_inputs(s);
-                for (std::uint32_t i = 0; i < s.num_inputs; ++i)
-                    mc.set_in(s, i, c.in(in_space, i));
-                mc.set_out(s, 0, true);
-                out.add(std::move(mc));
-            }
-            return out;
+            used = PrimeMethod::kImplicit;
+            return primes::primes_zdd_to_cover(zmgr, result.primes, s.num_inputs,
+                                               s.num_outputs);
         } catch (const ResourceError& e) {
             // Graceful degradation: only a node-budget trip under kAuto falls
             // through to consensus — deadline/cancel must propagate, and an
@@ -137,10 +134,7 @@ Cover generate_primes(const pla::Pla& pla, const TableBuildOptions& opt,
             TRACE_INSTANT("budget.zdd_fallback");
         }
     }
-
-    used_implicit = false;
-    const Cover primes = primes::primes_by_consensus(care, kMaxPrimes);
-    return single_output ? in_implicit_order(primes) : primes;
+    return in_implicit_order(primes::primes_by_consensus(care, kMaxPrimes));
 }
 
 /// Invokes fn(assignment) for every input minterm of `c` (outputs ignored).
@@ -180,6 +174,7 @@ OnsetMatrix onset_matrix_explicit(const pla::Pla& pla, const Cover& columns,
     constexpr std::uint64_t kPointCap = std::uint64_t{1} << 26;
 
     OnsetMatrix out;
+    out.row_method = RowMethod::kExplicit;
     std::map<std::vector<Index>, Index> row_of_signature;
     std::vector<std::vector<Index>> rows;
     std::unordered_set<Index> essential_set;
@@ -395,7 +390,7 @@ CoveringTable build_covering_table(const pla::Pla& pla,
     CoveringTable table;
     {
         Timer pt;
-        table.primes = generate_primes(pla, opt, table.used_implicit_primes);
+        table.primes = generate_primes(pla, opt, table.prime_method);
         table.prime_seconds = pt.seconds();
     }
     const std::size_t P = table.primes.size();
@@ -413,6 +408,7 @@ CoveringTable build_covering_table(const pla::Pla& pla,
                                               opt.dd, opt.row_method);
     table.onset_minterms = onset.onset_minterms;
     table.num_essential_primes = onset.essential_columns;
+    table.row_method = onset.row_method;
 
     table.column_prime.resize(P);
     for (Index j = 0; j < static_cast<Index>(P); ++j) table.column_prime[j] = j;

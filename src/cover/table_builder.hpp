@@ -25,11 +25,14 @@
 
 namespace ucp::cover {
 
+/// How the primes are generated. Every method gives the same primes in the
+/// same order (the implicit generator's), so the columns do not depend on it.
 enum class PrimeMethod {
-    kAuto,       ///< implicit (BDD→ZDD) for single-output, consensus otherwise
-    kConsensus,  ///< explicit iterated consensus (multi-output capable;
-                 ///< single-output primes come in kImplicit's order)
-    kImplicit,   ///< Coudert–Madre implicit primes (single-output only)
+    kAuto,       ///< consensus under a work budget; a function that exceeds it
+                 ///< goes to kImplicit, whose node-budget trips fall back to
+                 ///< unbudgeted consensus
+    kConsensus,  ///< explicit iterated consensus, unbudgeted
+    kImplicit,   ///< Coudert–Madre implicit primes of h(x, y), any output count
 };
 
 /// How the signature-class rows are computed. kAuto runs the ZDD partition
@@ -44,6 +47,17 @@ enum class RowMethod {
     kImplicit,  ///< ZDD partition refinement only (trips propagate)
     kExplicit,  ///< explicit minterm enumeration only (no ZDD use)
 };
+
+[[nodiscard]] inline const char* to_string(PrimeMethod m) noexcept {
+    return m == PrimeMethod::kConsensus ? "consensus"
+           : m == PrimeMethod::kImplicit ? "implicit"
+                                         : "auto";
+}
+[[nodiscard]] inline const char* to_string(RowMethod m) noexcept {
+    return m == RowMethod::kImplicit ? "implicit"
+           : m == RowMethod::kExplicit ? "explicit"
+                                       : "auto";
+}
 
 /// Column-cost model. The paper's primary objective is the number of
 /// products "with only a secondary concern given to the number of literals"
@@ -76,7 +90,10 @@ struct CoveringTable {
     double onset_minterms = 0.0;  ///< Σ_k |U_k| — the uncollapsed row count
     double build_seconds = 0.0;
     double prime_seconds = 0.0;
-    bool used_implicit_primes = false;
+    /// The generator that produced the primes and the path that built the
+    /// rows (kAuto: none ran, e.g. no rows for an empty on-set).
+    PrimeMethod prime_method = PrimeMethod::kAuto;
+    RowMethod row_method = RowMethod::kAuto;
 
     /// matrix column j corresponds to primes[ column_prime[j] ].
     std::vector<cov::Index> column_prime;
@@ -95,6 +112,7 @@ struct CoveringTable {
 /// BadInputError. Under PrimeMethod/RowMethod kAuto a governed node-budget
 /// trip degrades gracefully to the explicit (consensus primes + minterm
 /// enumeration) path instead of failing; both paths build the same matrix.
+/// The prime cap (200,000) is a node-budget trip too.
 CoveringTable build_covering_table(const pla::Pla& pla,
                                    const TableBuildOptions& opt = {});
 
@@ -109,6 +127,7 @@ struct OnsetMatrix {
     cov::CoverMatrix matrix;
     double onset_minterms = 0.0;
     std::size_t essential_columns = 0;  ///< singleton-signature classes
+    RowMethod row_method = RowMethod::kImplicit;  ///< the path that ran
 };
 OnsetMatrix onset_covering_matrix(const pla::Pla& pla,
                                   const pla::Cover& columns,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,10 +13,12 @@ using pla::Cube;
 using pla::CubeSpace;
 
 pla::Cover primes_by_consensus(const pla::Cover& care, std::size_t max_primes,
-                               ConsensusStats* stats) {
+                               ConsensusStats* stats,
+                               const ConsensusBudget& budget) {
     const CubeSpace& s = care.space();
     ConsensusStats local;
     ConsensusStats& st = stats != nullptr ? *stats : local;
+    st = {};
 
     // Working set with lazy deletion.
     std::vector<Cube> cubes;
@@ -24,17 +26,26 @@ pla::Cover primes_by_consensus(const pla::Cover& care, std::size_t max_primes,
     cubes.reserve(care.size() * 2);
 
     auto absorbed_by_existing = [&](const Cube& c) {
-        for (std::size_t i = 0; i < cubes.size(); ++i)
-            if (!dead[i] && cubes[i].contains(s, c)) return true;
+        for (std::size_t i = 0; i < cubes.size(); ++i) {
+            if (dead[i]) continue;
+            ++st.containment_checks;
+            if (cubes[i].contains(s, c)) return true;
+        }
         return false;
     };
 
     auto insert = [&](Cube c) -> bool {
+        if (st.cubes_absorbed > budget.max_absorbed ||
+            st.containment_checks > budget.max_checks)
+            throw ResourceError(Status::kNodeBudget,
+                                "primes_by_consensus: work budget exceeded");
         if (!c.valid(s)) return false;
         if (absorbed_by_existing(c)) return false;
         // Kill strictly smaller cubes.
         for (std::size_t i = 0; i < cubes.size(); ++i) {
-            if (!dead[i] && c.contains(s, cubes[i])) {
+            if (dead[i]) continue;
+            ++st.containment_checks;
+            if (c.contains(s, cubes[i])) {
                 dead[i] = true;
                 ++st.cubes_absorbed;
             }
@@ -43,9 +54,9 @@ pla::Cover primes_by_consensus(const pla::Cover& care, std::size_t max_primes,
         dead.push_back(false);
         ++st.cubes_added;
         if (st.cubes_added > max_primes)
-            throw std::runtime_error(
-                "primes_by_consensus: prime limit exceeded (" +
-                std::to_string(max_primes) + ")");
+            throw ResourceError(Status::kNodeBudget,
+                                "primes_by_consensus: prime limit exceeded (" +
+                                    std::to_string(max_primes) + ")");
         return true;
     };
 

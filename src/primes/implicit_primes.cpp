@@ -1,5 +1,6 @@
 #include "primes/implicit_primes.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "util/trace.hpp"
@@ -96,16 +97,24 @@ private:
 ImplicitPrimeResult implicit_primes(ZddManager& zmgr, const pla::Cover& care,
                                     const zdd::DdOptions& dd) {
     TRACE_SPAN("implicit_primes");
-    const pla::CubeSpace& s = care.space();
-    UCP_REQUIRE(s.num_outputs == 0, "implicit_primes requires an input-only cover");
-    UCP_REQUIRE(2 * s.num_inputs <= zmgr.num_vars(),
-                "ZDD manager needs 2 variables per input");
+    const std::uint32_t n = care.space().num_inputs, m = care.space().num_outputs;
+    UCP_REQUIRE(2 * (n + m) <= zmgr.num_vars(),
+                "ZDD manager needs 2 variables per input and output");
 
-    BddManager bmgr(s.num_inputs, dd);
-    const BddId f = cover_to_bdd(bmgr, care);
+    BddManager bmgr(n + m, dd);
+    BddId h = m == 0 ? cover_to_bdd(bmgr, care) : bmgr.btrue();
+    for (std::uint32_t k = m; k-- > 0;)
+        h = bmgr.and_(bmgr.or_(bmgr.var(n + k),
+                               cover_to_bdd(bmgr, care.restricted_to_output(k))),
+                      h);
 
     PrimeBuilder builder(bmgr, zmgr);
-    Zdd primes = zmgr.handle(builder.primes(f));
+    Zdd primes = zmgr.handle(builder.primes(h));
+    if (m > 0) {  // drop the all-y cube, which asserts no output
+        std::vector<zdd::LitSpec> all_y(n + m, zdd::LitSpec::kDontCare);
+        std::fill(all_y.begin() + n, all_y.end(), zdd::LitSpec::kOne);
+        primes = zmgr.diff(primes, zdd::cube_as_literal_set(zmgr, all_y));
+    }
 
     ImplicitPrimeResult result{primes, zmgr.count(primes), zmgr.node_count(primes),
                                bmgr.size()};
@@ -113,23 +122,30 @@ ImplicitPrimeResult implicit_primes(ZddManager& zmgr, const pla::Cover& care,
 }
 
 pla::Cover primes_zdd_to_cover(const ZddManager& zmgr, const Zdd& primes,
-                               std::uint32_t num_inputs) {
-    const pla::CubeSpace in_space{num_inputs, 0};
-    pla::Cover out(in_space);
-    const auto specs = zdd::decode_literal_sets(zmgr, primes, num_inputs);
+                               std::uint32_t num_inputs,
+                               std::uint32_t num_outputs) {
+    const pla::CubeSpace s{num_inputs, num_outputs};
+    pla::Cover out(s);
+    const auto specs =
+        zdd::decode_literal_sets(zmgr, primes, num_inputs + num_outputs);
     for (const auto& spec : specs) {
-        pla::Cube c = pla::Cube::full_inputs(in_space);
+        pla::Cube c = pla::Cube::full_inputs(s);
         for (std::uint32_t i = 0; i < num_inputs; ++i) {
             switch (spec[i]) {
                 case zdd::LitSpec::kZero:
-                    c.set_in(in_space, i, pla::Lit::kZero);
+                    c.set_in(s, i, pla::Lit::kZero);
                     break;
                 case zdd::LitSpec::kOne:
-                    c.set_in(in_space, i, pla::Lit::kOne);
+                    c.set_in(s, i, pla::Lit::kOne);
                     break;
                 case zdd::LitSpec::kDontCare:
                     break;
             }
+        }
+        // h is positive unate in y: no prime carries a negated y literal.
+        for (std::uint32_t k = 0; k < num_outputs; ++k) {
+            UCP_ASSERT(spec[num_inputs + k] != zdd::LitSpec::kZero);
+            c.set_out(s, k, spec[num_inputs + k] == zdd::LitSpec::kDontCare);
         }
         out.add(std::move(c));
     }

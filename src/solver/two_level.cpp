@@ -59,6 +59,8 @@ TwoLevelResult minimize_two_level(const pla::Pla& pla,
     }
     res.num_primes = table.primes.size();
     res.num_rows = table.matrix.num_rows();
+    res.prime_method = table.prime_method;
+    res.row_method = table.row_method;
     res.onset_minterms = table.onset_minterms;
     res.cyclic_core_seconds = table.build_seconds;
 

@@ -53,6 +53,10 @@ struct TwoLevelResult {
     bool verified = false;
     std::size_t num_primes = 0;
     std::size_t num_rows = 0;         ///< signature classes (decoded rows)
+    /// The generator that produced the primes and the path that built the
+    /// rows (CoveringTable's fields; kAuto when the table build tripped).
+    cover::PrimeMethod prime_method = cover::PrimeMethod::kAuto;
+    cover::RowMethod row_method = cover::RowMethod::kAuto;
     double onset_minterms = 0.0;
     double cyclic_core_seconds = 0.0; ///< CC(s): implicit phase + decode
     double total_seconds = 0.0;       ///< T(s)

@@ -53,8 +53,9 @@ struct DdOptions {
     /// Initial computed-cache capacity in entries (rounded up to a power of
     /// two). The cache doubles itself while operations are missing *and* the
     /// table is loaded, so a small initial size only costs a few early
-    /// resizes.
-    std::size_t cache_entries = std::size_t{1} << 16;
+    /// resizes, while a large one is zeroed memory that small functions never
+    /// touch (DESIGN.md §8).
+    std::size_t cache_entries = std::size_t{1} << 12;
     /// Ceiling for adaptive doubling (entries).
     std::size_t max_cache_entries = std::size_t{1} << 22;
     /// ZddManager only: run mark-and-sweep GC between top-level operations

@@ -285,9 +285,10 @@ TEST(Anytime, NodeBudgetTripStillSolvesToCompletion) {
     std::vector<Pla> plas;
     ucp::Rng seeds(7667);
     for (int trial = 0; trial < 3; ++trial) plas.push_back(random_pla(seeds()));
-    // Single-output rows: the fallback's consensus primes must reach the
-    // covering table in the implicit generator's order.
-    for (const char* name : {"bench1", "ex1010"})
+    // Single-output rows and a multi-output one (t1: budgeted consensus,
+    // implicit trip, unbudgeted consensus): the fallback's consensus primes
+    // must reach the covering table in the implicit generator's order.
+    for (const char* name : {"bench1", "ex1010", "t1"})
         plas.push_back(ucp::gen::instance_by_name(name));
     for (std::size_t t = 0; t < plas.size(); ++t) {
         SCOPED_TRACE("input " + std::to_string(t));
@@ -299,6 +300,8 @@ TEST(Anytime, NodeBudgetTripStillSolvesToCompletion) {
         // answers must be identical to the unbudgeted run.
         EXPECT_EQ(r.status, Status::kOk);
         EXPECT_TRUE(r.verified);
+        EXPECT_EQ(r.prime_method, ucp::cover::PrimeMethod::kConsensus);
+        EXPECT_EQ(r.row_method, ucp::cover::RowMethod::kExplicit);
         EXPECT_EQ(r.cost, ref.cost);
         EXPECT_EQ(r.literals, ref.literals);
         EXPECT_EQ(r.lower_bound, ref.lower_bound);

@@ -246,7 +246,8 @@ TEST(MemLadder, ScheduledDenialsNeverCrash) {
 TEST(MemLadder, TightCapDegradesByStages) {
     const ucp::pla::Pla pla = random_pla(17);
     const auto before = ucp::stats::snapshot();
-    MemoryBudget mem(256u << 10, nullptr, no_fault());  // 256 KB, very tight
+    // 64 KB: a third of this run's ungoverned footprint (186 KB).
+    MemoryBudget mem(64u << 10, nullptr, no_fault());
     TwoLevelOptions tl;
     tl.budget.memory = &mem;
     const auto r = minimize_two_level(pla, tl);

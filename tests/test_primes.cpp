@@ -1,10 +1,11 @@
 // Prime generation: explicit consensus and implicit BDD→ZDD methods validated
 // against a brute-force prime enumerator on small functions, and against each
-// other on larger single-output functions.
+// other on larger single- and multi-output functions.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "gen/suites.hpp"
 #include "pla/urp.hpp"
 #include "primes/explicit_primes.hpp"
 #include "primes/implicit_primes.hpp"
@@ -155,13 +156,50 @@ TEST(ExplicitPrimes, KnownExample) {
               (std::set<std::string>{"11-", "0-1", "-11"}));
 }
 
+/// The status of the ResourceError `fn` throws (kOk if it throws none).
+template <class Fn>
+ucp::Status resource_status(Fn&& fn) {
+    try {
+        fn();
+    } catch (const ucp::ResourceError& e) {
+        return e.status();
+    }
+    return ucp::Status::kOk;
+}
+
 TEST(ExplicitPrimes, StatsAndLimit) {
     Rng rng(4);
     const Cover f = random_cover(rng, 5, 1, 8, 0.5);
     ucp::primes::ConsensusStats stats;
     (void)ucp::primes::primes_by_consensus(f, 1u << 20, &stats);
     EXPECT_GT(stats.cubes_added, 0u);
-    EXPECT_THROW(ucp::primes::primes_by_consensus(f, 2), std::runtime_error);
+    EXPECT_GT(stats.containment_checks, 0u);
+    // The prime cap and both work limits are node-budget trips, not bad input.
+    EXPECT_EQ(resource_status([&] { ucp::primes::primes_by_consensus(f, 2); }),
+              ucp::Status::kNodeBudget);
+    ucp::primes::ConsensusBudget checks;
+    checks.max_checks = stats.containment_checks / 2;
+    EXPECT_EQ(resource_status([&] {
+                  ucp::primes::primes_by_consensus(f, 1u << 20, nullptr, checks);
+              }),
+              ucp::Status::kNodeBudget);
+    // "1-" absorbs "11"; the run stops at the next insert.
+    const Cover g = Cover::from_strings(CubeSpace{2, 0},
+                                        {{"11", ""}, {"1-", ""}, {"0-", ""}});
+    ucp::primes::ConsensusBudget absorbed;
+    absorbed.max_absorbed = 0;
+    EXPECT_EQ(resource_status([&] {
+                  ucp::primes::primes_by_consensus(g, 1u << 20, nullptr,
+                                                   absorbed);
+              }),
+              ucp::Status::kNodeBudget);
+    // A budget the run stays within changes nothing.
+    ucp::primes::ConsensusBudget ample;
+    ample.max_absorbed = stats.cubes_absorbed;
+    ample.max_checks = stats.containment_checks;
+    EXPECT_EQ(cover_strings(ucp::primes::primes_by_consensus(f, 1u << 20,
+                                                             nullptr, ample)),
+              cover_strings(ucp::primes::primes_by_consensus(f)));
 }
 
 TEST(ExplicitPrimes, PrimesAreAntichainAndImplicants) {
@@ -210,13 +248,36 @@ TEST(TabularPrimes, KnownExampleAndGuards) {
 }
 
 TEST(ImplicitPrimes, MatchesExplicitOnRandomFunctions) {
+    // Input-only covers, multi-output covers (primes of h(x, y)), and the
+    // multi-output rows of the Table-1/2 suites.
     Rng rng(6);
-    for (int trial = 0; trial < 12; ++trial) {
-        const Cover f = random_cover(rng, 6, 0, 6 + trial % 5, 0.45);
-        ucp::zdd::ZddManager zmgr(2 * 6);
+    std::vector<Cover> covers;
+    for (int trial = 0; trial < 12; ++trial)
+        covers.push_back(random_cover(rng, 6, 0, 6 + trial % 5, 0.45));
+    for (int trial = 0; trial < 12; ++trial)
+        covers.push_back(
+            random_cover(rng, 6, 2 + trial % 3, 6 + trial % 5, 0.45));
+    std::size_t suite_rows = 0;
+    for (const auto& suite :
+         {ucp::gen::difficult_cyclic_suite(), ucp::gen::challenging_suite()})
+        for (const auto& e : suite) {
+            if (e.pla.space().num_outputs < 2) continue;
+            Cover care = e.pla.on;
+            care.append(e.pla.dc);
+            covers.push_back(std::move(care));
+            ++suite_rows;
+        }
+    EXPECT_EQ(suite_rows, 8u);
+
+    for (const Cover& f : covers) {
+        const CubeSpace& s = f.space();
+        SCOPED_TRACE(std::to_string(s.num_inputs) + " inputs, " +
+                     std::to_string(s.num_outputs) + " outputs, " +
+                     std::to_string(f.size()) + " cubes");
+        ucp::zdd::ZddManager zmgr(2 * (s.num_inputs + s.num_outputs));
         const auto imp = ucp::primes::implicit_primes(zmgr, f);
-        const Cover decoded =
-            ucp::primes::primes_zdd_to_cover(zmgr, imp.primes, 6);
+        const Cover decoded = ucp::primes::primes_zdd_to_cover(
+            zmgr, imp.primes, s.num_inputs, s.num_outputs);
         const Cover exp = ucp::primes::primes_by_consensus(f);
         EXPECT_EQ(cover_strings(decoded), cover_strings(exp));
         EXPECT_DOUBLE_EQ(imp.prime_count, static_cast<double>(exp.size()));

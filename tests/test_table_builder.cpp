@@ -7,7 +7,7 @@
 
 #include "cover/table_builder.hpp"
 #include "gen/pla_gen.hpp"
-#include "solver/bnb.hpp"
+#include "gen/suites.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -117,32 +117,58 @@ TEST(TableBuilder, OnsetMintermCountMatches) {
     EXPECT_DOUBLE_EQ(t.onset_minterms, count);
 }
 
-TEST(TableBuilder, ImplicitAndConsensusAgreeSingleOutput) {
+TEST(TableBuilder, PrimeMethodsAgree) {
+    // Every generator gives the same primes in the same order, so the matrix
+    // does not depend on which one ran; multi-output functions included (the
+    // implicit generator works on h(x, y)).
     ucp::Rng seeds(83);
-    for (int trial = 0; trial < 8; ++trial) {
-        const Pla p = random_pla(seeds(), 7, 1);
-        TableBuildOptions a, b;
-        a.method = PrimeMethod::kImplicit;
-        b.method = PrimeMethod::kConsensus;
-        const CoveringTable ta = build_covering_table(p, a);
-        const CoveringTable tb = build_covering_table(p, b);
-        EXPECT_TRUE(ta.used_implicit_primes);
-        EXPECT_FALSE(tb.used_implicit_primes);
-        EXPECT_EQ(ta.primes.size(), tb.primes.size());
-        EXPECT_EQ(ta.matrix.num_rows(), tb.matrix.num_rows());
-        // Same optimal covering cost either way.
-        if (ta.matrix.num_rows() > 0 && ta.matrix.num_rows() < 40) {
-            EXPECT_EQ(ucp::solver::solve_exact(ta.matrix).cost,
-                      ucp::solver::solve_exact(tb.matrix).cost);
+    std::vector<Pla> plas;
+    for (int trial = 0; trial < 12; ++trial)
+        plas.push_back(random_pla(seeds(), 7, 1 + trial % 4));
+    plas.push_back(ucp::gen::instance_by_name("t1"));  // kAuto hands it over
+    for (const Pla& p : plas) {
+        SCOPED_TRACE(p.name);
+        TableBuildOptions opt;
+        opt.method = PrimeMethod::kConsensus;
+        const CoveringTable ref = build_covering_table(p, opt);
+        EXPECT_EQ(ref.prime_method, PrimeMethod::kConsensus);
+        for (const PrimeMethod m : {PrimeMethod::kImplicit, PrimeMethod::kAuto}) {
+            opt.method = m;
+            const CoveringTable t = build_covering_table(p, opt);
+            if (m == PrimeMethod::kImplicit)
+                EXPECT_EQ(t.prime_method, PrimeMethod::kImplicit);
+            EXPECT_EQ(t.primes.to_string(), ref.primes.to_string());
+            EXPECT_TRUE(same_rows(t.matrix, ref.matrix));
         }
     }
 }
 
-TEST(TableBuilder, ImplicitRejectsMultiOutput) {
-    const Pla p = random_pla(1, 5, 2);
-    TableBuildOptions opt;
-    opt.method = PrimeMethod::kImplicit;
-    EXPECT_THROW(build_covering_table(p, opt), std::invalid_argument);
+TEST(TableBuilder, AutoPrimesTakeTheCheaperGenerator) {
+    // kAuto keeps a function on consensus while consensus stays within its
+    // budget (a sparse, wide function absorbs almost no cube) and hands it to
+    // the implicit generator once consensus absorbs cubes by the dozen.
+    ucp::gen::RandomPlaOptions wide;
+    wide.num_inputs = 24;
+    wide.num_cubes = 24;
+    wide.literal_prob = 0.5;
+    wide.dc_fraction = 0.0;
+    wide.seed = 5;
+    const std::pair<Pla, PrimeMethod> cases[] = {
+        {ucp::gen::random_pla(wide), PrimeMethod::kConsensus},
+        {ucp::gen::instance_by_name("ti"), PrimeMethod::kConsensus},
+        {ucp::gen::instance_by_name("test4"), PrimeMethod::kImplicit},
+        {ucp::gen::instance_by_name("prom2"), PrimeMethod::kImplicit},
+    };
+    auto& capped = ucp::stats::counter("primes.consensus_capped");
+    for (const auto& [p, want] : cases) {
+        SCOPED_TRACE(p.name);
+        const std::uint64_t capped0 = capped.value();
+        const CoveringTable t = build_covering_table(p);
+        EXPECT_EQ(t.prime_method, want);
+        EXPECT_EQ(t.row_method, RowMethod::kImplicit);
+        EXPECT_EQ(capped.value() - capped0,
+                  want == PrimeMethod::kImplicit ? 1u : 0u);
+    }
 }
 
 TEST(TableBuilder, EssentialPrimesDetected) {
