@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "cover/zdd_cover.hpp"
 #include "gen/scp_gen.hpp"
 #include "lagrangian/dual_ascent.hpp"
 #include "lp/simplex.hpp"
@@ -67,23 +66,7 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
 
-    // How many irredundant covers exist at all? (implicit enumeration +
-    // exact counting — these counts overflow nothing, the ZDD stays small.)
-    for (const int dim : {2, 3}) {
-        const auto m = ucp::gen::steiner_cover(dim);
-        try {
-            ucp::zdd::ZddManager mgr(m.num_cols());
-            const auto covers = ucp::cover::minimal_covers(mgr, m);
-            std::cout << "\nSTS(" << (dim == 2 ? 9 : 27) << "): "
-                      << mgr.count_exact(covers)
-                      << " irredundant covers in total ("
-                      << covers.node_count() << " ZDD nodes)";
-        } catch (const std::exception& e) {
-            std::cout << "\nSTS(" << (dim == 2 ? 9 : 27)
-                      << "): enumeration guard hit (" << e.what() << ")";
-        }
-    }
-    std::cout << "\n\nKnown optima: STS(9) = 5, STS(27) = 18. The Lagrangian "
+    std::cout << "\nKnown optima: STS(9) = 5, STS(27) = 18. The Lagrangian "
                  "bound is capped by the LP value (3 / 9), so the gap is "
                  "structural, not a solver weakness — exactly the situation "
                  "of the paper's ex1010/test2/test3 rows.\n";

@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "cover/table_builder.hpp"
-#include "cover/zdd_cover.hpp"
 #include "gen/pla_gen.hpp"
 #include "gen/scp_gen.hpp"
 #include "lagrangian/subgradient.hpp"
@@ -16,21 +15,24 @@
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "zdd/zdd.hpp"
+#include "zdd/zdd_cubes.hpp"
 
 namespace {
 
 using ucp::Rng;
+using ucp::zdd::LitSpec;
 using ucp::zdd::Var;
 using ucp::zdd::Zdd;
 using ucp::zdd::ZddManager;
 
+// A union of random minterms, each built by the pipeline's encoder.
 Zdd random_family(ZddManager& mgr, Rng& rng, Var vars, std::size_t sets) {
     Zdd out = mgr.empty();
     for (std::size_t i = 0; i < sets; ++i) {
-        std::vector<Var> s;
-        for (Var v = 0; v < vars; ++v)
-            if (rng.chance(0.3)) s.push_back(v);
-        out = mgr.union_(out, mgr.set_of(s));
+        std::vector<LitSpec> minterm(vars);
+        for (LitSpec& l : minterm)
+            l = rng.chance(0.3) ? LitSpec::kOne : LitSpec::kZero;
+        out = mgr.union_(out, ucp::zdd::minterms_of_cube(mgr, minterm));
     }
     return out;
 }
@@ -58,39 +60,13 @@ void BM_ZddUnionCold(benchmark::State& state) {
 }
 BENCHMARK(BM_ZddUnionCold);
 
-void BM_ZddProduct(benchmark::State& state) {
-    ZddManager mgr(24);
-    Rng rng(2);
-    const Zdd a = random_family(mgr, rng, 24, 40);
-    const Zdd b = random_family(mgr, rng, 24, 40);
-    for (auto _ : state) benchmark::DoNotOptimize(mgr.product(a, b).id());
-}
-BENCHMARK(BM_ZddProduct);
-
-void BM_ZddSupSet(benchmark::State& state) {
-    ZddManager mgr(24);
-    Rng rng(3);
-    const Zdd a = random_family(mgr, rng, 24, 200);
-    const Zdd b = random_family(mgr, rng, 24, 50);
-    for (auto _ : state) benchmark::DoNotOptimize(mgr.sup_set(a, b).id());
-}
-BENCHMARK(BM_ZddSupSet);
-
-void BM_ZddMaximal(benchmark::State& state) {
-    ZddManager mgr(24);
-    Rng rng(4);
-    const Zdd a = random_family(mgr, rng, 24, 300);
-    for (auto _ : state) benchmark::DoNotOptimize(mgr.maximal(a).id());
-}
-BENCHMARK(BM_ZddMaximal);
-
-// ---- fused vs composed compound operators ---------------------------------
-// Each pair measures the same algebraic result computed by the fused
-// single-recursion operator vs the classic two/three-operator composition.
-// A fresh manager per iteration plus manual timing around the operator
-// call(s) keeps the computed caches cold and the family-construction cost
-// out of the clock, so the ratio is the honest speedup of the fusion.
-// Deterministic seeds: both halves of a pair see identical families.
+// ---- fused vs composed split ----------------------------------------------
+// The pair measures (a ∩ b, a − b) computed by the fused single-recursion
+// split vs intersect followed by diff. A fresh manager per iteration plus
+// manual timing around the operator call(s) keeps the computed caches cold
+// and the family-construction cost out of the clock, so the ratio is the
+// honest speedup of the fusion. Deterministic seeds: both halves of the pair
+// see identical families.
 
 // split's operands in the cover phase share most of their sets (a is a
 // signature class, b a column's minterms), so the benchmark uses overlapping
@@ -127,160 +103,9 @@ void BM_ZddSplitComposed(benchmark::State& state) {
 }
 BENCHMARK(BM_ZddSplitComposed)->UseManualTime();
 
-void BM_ZddNonSubSetFused(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(7);
-        const Zdd a = random_family(mgr, rng, 24, 200);
-        const Zdd b = random_family(mgr, rng, 24, 50);
-        ucp::Timer t;
-        benchmark::DoNotOptimize(mgr.non_sub_set(a, b).id());
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddNonSubSetFused)->UseManualTime();
-
-void BM_ZddNonSubSetComposed(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(7);
-        const Zdd a = random_family(mgr, rng, 24, 200);
-        const Zdd b = random_family(mgr, rng, 24, 50);
-        ucp::Timer t;
-        benchmark::DoNotOptimize(mgr.diff(a, mgr.sub_set(a, b)).id());
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddNonSubSetComposed)->UseManualTime();
-
-void BM_ZddNonSupSetFused(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(8);
-        const Zdd a = random_family(mgr, rng, 24, 200);
-        const Zdd b = random_family(mgr, rng, 24, 50);
-        ucp::Timer t;
-        benchmark::DoNotOptimize(mgr.non_sup_set(a, b).id());
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddNonSupSetFused)->UseManualTime();
-
-void BM_ZddNonSupSetComposed(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(8);
-        const Zdd a = random_family(mgr, rng, 24, 200);
-        const Zdd b = random_family(mgr, rng, 24, 50);
-        ucp::Timer t;
-        benchmark::DoNotOptimize(mgr.diff(a, mgr.sup_set(a, b)).id());
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddNonSupSetComposed)->UseManualTime();
-
-void BM_ZddCofactorsFused(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(9);
-        const Zdd a = random_family(mgr, rng, 24, 300);
-        ucp::Timer t;
-        for (Var v = 0; v < 24; ++v) {
-            const auto [lo, hi] = mgr.cofactors(a, v);
-            benchmark::DoNotOptimize(lo.id() + hi.id());
-        }
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddCofactorsFused)->UseManualTime();
-
-void BM_ZddCofactorsComposed(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(9);
-        const Zdd a = random_family(mgr, rng, 24, 300);
-        ucp::Timer t;
-        for (Var v = 0; v < 24; ++v) {
-            const Zdd lo = mgr.subset0(a, v);
-            const Zdd hi = mgr.subset1(a, v);
-            benchmark::DoNotOptimize(lo.id() + hi.id());
-        }
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddCofactorsComposed)->UseManualTime();
-
-void BM_ZddMinimal(benchmark::State& state) {
-    ZddManager mgr(24);
-    Rng rng(5);
-    const Zdd a = random_family(mgr, rng, 24, 300);
-    for (auto _ : state) benchmark::DoNotOptimize(mgr.minimal(a).id());
-}
-BENCHMARK(BM_ZddMinimal);  // cached-op latency
-
-void BM_ZddMinimalCold(benchmark::State& state) {
-    for (auto _ : state) {
-        ZddManager mgr(24);
-        Rng rng(5);
-        const Zdd a = random_family(mgr, rng, 24, 300);
-        ucp::Timer t;
-        benchmark::DoNotOptimize(mgr.minimal(a).id());
-        state.SetIterationTime(t.seconds());
-    }
-}
-BENCHMARK(BM_ZddMinimalCold)->UseManualTime();
-
 // ---- end-to-end implicit covering phases ----------------------------------
 // These exercise the whole engine (arena, unique table, computed caches, GC)
-// on the workloads the solver actually runs, and export the cache counters
-// so --json runs track hit rates and adaptive resizes over time.
-
-void BM_ImplicitRowDominance(benchmark::State& state) {
-    ucp::gen::RandomScpOptions g;
-    g.rows = 4000;
-    g.cols = 140;
-    g.density = 0.12;
-    g.seed = 21;
-    const auto m = ucp::gen::random_scp(g);
-    std::size_t rows_out = 0;
-    for (auto _ : state)
-        rows_out = ucp::cover::implicit_row_dominance(m).rows_out;
-    state.counters["rows_out"] = static_cast<double>(rows_out);
-}
-BENCHMARK(BM_ImplicitRowDominance)->Unit(benchmark::kMillisecond);
-
-void BM_MinimalCoversCyclic(benchmark::State& state) {
-    const auto m = ucp::gen::cyclic_matrix(34, 12);
-    ucp::zdd::ZddManager::CacheStats cs;
-    for (auto _ : state) {
-        ZddManager mgr(m.num_cols());
-        benchmark::DoNotOptimize(
-            ucp::cover::minimal_covers(mgr, m).id());
-        cs = mgr.cache_stats();
-    }
-    state.counters["cache_hit_rate"] = cs.hit_rate();
-    state.counters["cache_resizes"] = static_cast<double>(cs.resizes);
-}
-BENCHMARK(BM_MinimalCoversCyclic)->Unit(benchmark::kMillisecond);
-
-void BM_MinimalCoversRandom(benchmark::State& state) {
-    ucp::gen::RandomScpOptions g;
-    g.rows = 30;
-    g.cols = 28;
-    g.density = 0.22;
-    g.seed = 5;
-    const auto m = ucp::gen::random_scp(g);
-    ucp::zdd::ZddManager::CacheStats cs;
-    for (auto _ : state) {
-        ZddManager mgr(m.num_cols());
-        benchmark::DoNotOptimize(
-            ucp::cover::minimal_covers(mgr, m).id());
-        cs = mgr.cache_stats();
-    }
-    state.counters["cache_hit_rate"] = cs.hit_rate();
-    state.counters["cache_resizes"] = static_cast<double>(cs.resizes);
-}
-BENCHMARK(BM_MinimalCoversRandom)->Unit(benchmark::kMillisecond);
+// on the workloads the solver actually runs.
 
 void BM_ImplicitPrimes(benchmark::State& state) {
     ucp::gen::RandomPlaOptions opt;
@@ -325,99 +150,17 @@ void BM_ExplicitReductions(benchmark::State& state) {
 }
 BENCHMARK(BM_ExplicitReductions)->Arg(100)->Arg(400)->Arg(1000);
 
-// ---- chain-node encoding: chain vs plain pair set -------------------------
-// Each pair runs the same deep implicit-phase workload twice, with
+// ---- chain-node encoding: chain vs plain pair ------------------------------
+// The pair runs the same implicit-phase workload twice, with
 // DdOptions::chain_nodes forced on and off (a build-free toggle — DESIGN.md
 // §12). Arena node counts are exported next to wall time so the JSON shows
-// the compression factor, not just the speed delta. Interval-structured
-// families — contiguous runs of levels, the shape deep tables produce — are
-// where Bryant's chain reduction pays off; the prime-generation pair shows
-// the behaviour on literal-encoded cube sets.
+// the compression factor, not just the speed delta.
 
 ucp::zdd::DdOptions chain_dd(bool on) {
     ucp::zdd::DdOptions dd;
     dd.chain_nodes = on;
     return dd;
 }
-
-// Row dominance over 600 interval rows (length 40–200) on 2500 columns: the
-// implicit_row_dominance core (union of row sets + minimal) with the manager
-// held open so arena counters are readable.
-void chain_row_dominance(benchmark::State& state, bool chains) {
-    constexpr Var kCols = 2500;
-    std::size_t live = 0, result_nodes = 0, made = 0;
-    for (auto _ : state) {
-        ZddManager mgr(kCols, chain_dd(chains));
-        Rng rng(31);
-        ucp::Timer t;
-        Zdd fam = mgr.empty();
-        for (int i = 0; i < 600; ++i) {
-            const Var len = 40 + static_cast<Var>(rng() % 161);
-            const Var start = static_cast<Var>(rng() % (kCols - len));
-            std::vector<Var> row(len);
-            for (Var v = 0; v < len; ++v) row[v] = start + v;
-            fam = mgr.union_(fam, mgr.set_of(row));
-        }
-        const Zdd minimal = mgr.minimal(fam);
-        state.SetIterationTime(t.seconds());
-        live = mgr.live_nodes();
-        result_nodes = mgr.node_count(minimal);
-        made = mgr.chain_stats().nodes_made;
-    }
-    state.counters["live_nodes"] = static_cast<double>(live);
-    state.counters["result_nodes"] = static_cast<double>(result_nodes);
-    state.counters["chain_nodes_made"] = static_cast<double>(made);
-}
-
-void BM_ZddRowDominanceDeepChain(benchmark::State& state) {
-    chain_row_dominance(state, true);
-}
-BENCHMARK(BM_ZddRowDominanceDeepChain)->UseManualTime()->Unit(
-    benchmark::kMillisecond);
-
-void BM_ZddRowDominanceDeepPlain(benchmark::State& state) {
-    chain_row_dominance(state, false);
-}
-BENCHMARK(BM_ZddRowDominanceDeepPlain)->UseManualTime()->Unit(
-    benchmark::kMillisecond);
-
-// Minimal covers of a staircase matrix: column j covers the row interval
-// [j, j+16), so every row's covering-column set is a run of ≤16 consecutive
-// column variables. The enumeration recurses through chain-split views.
-void chain_minimal_covers(benchmark::State& state, bool chains) {
-    constexpr ucp::cov::Index kCols = 80, kWidth = 16;
-    std::vector<std::vector<ucp::cov::Index>> rows;
-    for (ucp::cov::Index r = 0; r < kCols + kWidth - 1; ++r) {
-        std::vector<ucp::cov::Index> cols;
-        for (ucp::cov::Index j = 0; j < kCols; ++j)
-            if (j <= r && r < j + kWidth) cols.push_back(j);
-        rows.push_back(std::move(cols));
-    }
-    const auto m = ucp::cov::CoverMatrix::from_rows(kCols, rows);
-    std::size_t live = 0, result_nodes = 0;
-    for (auto _ : state) {
-        ZddManager mgr(m.num_cols(), chain_dd(chains));
-        ucp::Timer t;
-        const Zdd covers = ucp::cover::minimal_covers(mgr, m);
-        state.SetIterationTime(t.seconds());
-        live = mgr.live_nodes();
-        result_nodes = mgr.node_count(covers);
-    }
-    state.counters["live_nodes"] = static_cast<double>(live);
-    state.counters["result_nodes"] = static_cast<double>(result_nodes);
-}
-
-void BM_ZddMinimalCoversIntervalChain(benchmark::State& state) {
-    chain_minimal_covers(state, true);
-}
-BENCHMARK(BM_ZddMinimalCoversIntervalChain)->UseManualTime()->Unit(
-    benchmark::kMillisecond);
-
-void BM_ZddMinimalCoversIntervalPlain(benchmark::State& state) {
-    chain_minimal_covers(state, false);
-}
-BENCHMARK(BM_ZddMinimalCoversIntervalPlain)->UseManualTime()->Unit(
-    benchmark::kMillisecond);
 
 // Implicit primes of a dense-literal PLA (literal_prob 0.9, 14 inputs): the
 // positional cube encoding yields long sparse sets whose consecutive-level

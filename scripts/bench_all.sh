@@ -5,13 +5,8 @@
 #
 # Usage: scripts/bench_all.sh [build-dir] [out-dir]
 #
-# Compare a fresh run against the committed baselines with e.g.
-#   python3 - <<'EOF'
-#   import json
-#   a = json.load(open('bench/baselines/BENCH_reductions.json'))
-#   b = json.load(open('BENCH_reductions.json'))
-#   ...
-#   EOF
+# Compare a fresh run against the committed baselines with
+#   scripts/check_baselines.py --fresh <out-dir>
 # Solution fields (cost, closed, proved, runs, match, bounds) must be
 # bit-identical across commits and thread counts; only *_ms / seconds /
 # counters may move.

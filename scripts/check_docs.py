@@ -1,11 +1,20 @@
 #!/usr/bin/env python3
-"""Markdown link checker for the repo docs.
+"""Markdown link and path checker for the repo docs.
 
 Scans the given markdown files (default: README.md, DESIGN.md, EXPERIMENTS.md,
 ROADMAP.md, CHANGES.md and everything under docs/) and fails if:
 
   * a relative link / image target does not exist on disk, or
-  * an intra-document anchor (#section) has no matching heading.
+  * an intra-document anchor (#section) has no matching heading, or
+  * a backticked repo path does not exist (README.md, DESIGN.md,
+    EXPERIMENTS.md and docs/ only: CHANGES.md and ROADMAP.md record history,
+    so they may name files that are gone).
+
+A backticked span is a repo path when its first token starts with a
+top-level directory (src/, tests/, bench/, scripts/, examples/, perfbench/,
+docs/) or with a directory under src/ (cover/, zdd/, ...). It may use the
+`{a,b}` and `*` shell forms and a `:line`, `#anchor` or `::member` suffix; a
+bare binary name such as `bench/bench_hard_gap` resolves through its `.cpp`.
 
 External (http/https/mailto) links are NOT fetched — CI must stay hermetic —
 they are only counted. Run from anywhere; paths resolve against the repo root
@@ -25,6 +34,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.+?)\s*$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
+
+TOP_LEVEL_DIRS = ("src", "tests", "bench", "scripts", "examples", "perfbench",
+                  "docs")
+SRC_DIRS = tuple(sorted(p.name for p in (ROOT / "src").iterdir() if p.is_dir()))
+# Files whose backticked paths must exist (history files are exempt).
+PATH_CHECKED = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
 def anchor_of(heading):
@@ -48,10 +65,67 @@ def default_files():
     return files
 
 
+def expand_braces(pattern):
+    """Shell-style {a,b} expansion, innermost first."""
+    m = BRACE_RE.search(pattern)
+    if not m:
+        return [pattern]
+    out = []
+    for alt in m.group(1).split(","):
+        out.extend(expand_braces(pattern[:m.start()] + alt + pattern[m.end():]))
+    return out
+
+
+def path_exists(rel):
+    if any(ch in rel for ch in "*?["):
+        return any(ROOT.glob(rel))
+    p = ROOT / rel
+    return p.exists() or (p.suffix == "" and p.with_suffix(".cpp").exists())
+
+
+def repo_path_of(span):
+    """The repo-relative path a backticked span names, or None."""
+    token = span.split()[0] if span.split() else ""
+    # Drop a C++ member (`file.hpp::Name`), an anchor and a `:line` suffix.
+    token = re.split(r"::|#", token)[0]
+    token = re.sub(r":\d.*$", "", token).rstrip(".,;:)")
+    if "/" not in token or any(ch in token for ch in "<>$…") or "..." in token:
+        return None
+    first = token.split("/", 1)[0]
+    if first in TOP_LEVEL_DIRS:
+        return token
+    if first in SRC_DIRS:
+        return "src/" + token
+    return None
+
+
+def check_paths(path, text):
+    errors = []
+    for m in CODE_SPAN_RE.finditer(text):
+        rel = repo_path_of(m.group(1))
+        if rel is None:
+            continue
+        missing = [p for p in expand_braces(rel) if not path_exists(p)]
+        if missing:
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{path.relative_to(ROOT)}:{line}: missing path "
+                          f"`{m.group(1)}`")
+    return errors
+
+
+def path_checked(path):
+    return ((path.parent == ROOT and path.name in PATH_CHECKED)
+            or path.parent == ROOT / "docs")
+
+
 def check_file(path):
     errors = []
     raw = path.read_text(encoding="utf-8")
-    text = CODE_FENCE_RE.sub("", raw)  # links inside code blocks are examples
+    # Links inside code blocks are examples; blanking the blocks (not
+    # deleting them) keeps the line numbers of the reported paths right.
+    text = CODE_FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"), raw)
+    if path_checked(path):
+        errors.extend(check_paths(path, text))
     anchors = {anchor_of(h) for h in HEADING_RE.findall(raw)}
     external = 0
 

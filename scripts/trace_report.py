@@ -30,7 +30,6 @@ PHASE_SECTIONS = {
     "penalties": "§6",
     "reduce": "§7",
     "bnb": "§11",
-    "zdd_cover": "§8",
     "implicit_primes": "§8",
     "table": "§8",
     "budget": "§9",

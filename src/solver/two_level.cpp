@@ -1,10 +1,7 @@
 #include "solver/two_level.hpp"
 
-#include "cover/zdd_cover.hpp"
-#include "matrix/reductions.hpp"
 #include "pla/urp.hpp"
 #include "solver/greedy.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -104,41 +101,6 @@ TwoLevelResult minimize_two_level(const pla::Pla& pla,
             res.weighted_lower_bound = r.lower_bound;
             res.proved_optimal = r.optimal;
             res.status = r.status;
-            break;
-        }
-        case CoverSolver::kImplicitExact: {
-            // Reduce explicitly first (essentials + dominance), then let the
-            // ZDD enumeration solve the cyclic core exactly. A node-budget
-            // trip falls back to explicit branch-and-bound on the same core.
-            const cov::ReduceResult red = cov::reduce(table.matrix);
-            solution = red.essential_cols;
-            Cost lb = red.fixed_cost;
-            if (!red.solved()) {
-                try {
-                    const auto best = cover::implicit_exact_cover(
-                        red.core, cover::kDefaultNodeGuard, topt.dd);
-                    for (const auto v : best.members)
-                        solution.push_back(red.core_col_map[v]);
-                    lb += best.cost;
-                    res.proved_optimal = true;
-                } catch (const ResourceError& e) {
-                    if (e.status() != Status::kNodeBudget) throw;
-                    stats::counter("budget.zdd_fallbacks").add();
-                    TRACE_INSTANT("budget.zdd_fallback");
-                    BnbOptions bopt = opt.bnb;
-                    if (bopt.governor == nullptr) bopt.governor = &gov;
-                    const BnbResult r = solve_exact(red.core, bopt);
-                    for (const Index v : r.solution)
-                        solution.push_back(red.core_col_map[v]);
-                    lb += r.lower_bound;
-                    res.proved_optimal = r.optimal;
-                    res.status = r.status;
-                }
-            } else {
-                res.proved_optimal = true;
-            }
-            solution = table.matrix.make_irredundant(std::move(solution));
-            res.weighted_lower_bound = lb;
             break;
         }
     }

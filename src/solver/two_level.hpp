@@ -16,10 +16,9 @@
 namespace ucp::solver {
 
 enum class CoverSolver {
-    kScg,           ///< the paper's algorithm
-    kGreedy,        ///< Chvátal greedy (baseline)
-    kExact,         ///< branch-and-bound (Scherzo stand-in)
-    kImplicitExact, ///< ZDD enumeration of all minimal covers (small cores)
+    kScg,     ///< the paper's algorithm
+    kGreedy,  ///< Chvátal greedy (baseline)
+    kExact,   ///< branch-and-bound (Scherzo stand-in)
 };
 
 struct TwoLevelOptions {

@@ -5,7 +5,8 @@
 // CancelToken, and every long-running loop polls it:
 //
 //   * ZddManager/BddManager charge_node() at arena growth;
-//   * zdd_cover / implicit_primes poll check() at recursion roots;
+//   * implicit_primes and the table refinement poll check() at recursion
+//     roots;
 //   * subgradient / dual_ascent charge_iteration() per iteration;
 //   * scg polls per run / fixing step; bnb per expanded node.
 //

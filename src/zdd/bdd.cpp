@@ -1,9 +1,6 @@
 #include "zdd/bdd.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <unordered_map>
 
 #include "util/stats.hpp"
 #include "util/trace.hpp"
@@ -88,7 +85,6 @@ BddId BddManager::nvar(std::uint32_t v) {
 
 BddId BddManager::and_(BddId a, BddId b) { return apply(Op::kAnd, a, b); }
 BddId BddManager::or_(BddId a, BddId b) { return apply(Op::kOr, a, b); }
-BddId BddManager::xor_(BddId a, BddId b) { return apply(Op::kXor, a, b); }
 
 BddId BddManager::apply(Op op, BddId a, BddId b) {
     // Terminal cases.
@@ -105,17 +101,10 @@ BddId BddManager::apply(Op op, BddId a, BddId b) {
             if (b == kBddFalse) return a;
             if (a == b) return a;
             break;
-        case Op::kXor:
-            if (a == b) return kBddFalse;
-            if (a == kBddFalse) return b;
-            if (b == kBddFalse) return a;
-            if (a == kBddTrue) return not_(b);
-            if (b == kBddTrue) return not_(a);
-            break;
         default:
             UCP_ASSERT(false);
     }
-    if (a > b) std::swap(a, b);  // all three ops are commutative
+    if (a > b) std::swap(a, b);  // both ops are commutative
 
     BddId cached;
     const std::uint64_t key = dd_cache_key(static_cast<std::uint8_t>(op), a, b);
@@ -130,64 +119,6 @@ BddId BddManager::apply(Op op, BddId a, BddId b) {
     cached = make(v, apply(op, a0, b0), apply(op, a1, b1));
     cache_store(key, cached);
     return cached;
-}
-
-BddId BddManager::not_(BddId a) { return not_rec(a); }
-
-BddId BddManager::not_rec(BddId a) {
-    if (a == kBddFalse) return kBddTrue;
-    if (a == kBddTrue) return kBddFalse;
-    BddId cached;
-    const std::uint64_t key =
-        dd_cache_key(static_cast<std::uint8_t>(Op::kNot), a, a);
-    if (cache_.lookup(key, cached)) return cached;
-    const BddId r =
-        make(nodes_[a].var, not_rec(nodes_[a].lo), not_rec(nodes_[a].hi));
-    cache_store(key, r);
-    return r;
-}
-
-BddId BddManager::cofactor(BddId f, std::uint32_t v, bool value) {
-    UCP_REQUIRE(v < num_vars_, "variable out of range");
-    return cofactor_rec(f, v, value);
-}
-
-BddId BddManager::cofactor_rec(BddId f, std::uint32_t v, bool value) {
-    const std::uint32_t vf = var_of(f);
-    if (vf > v) return f;  // f does not depend on v above this point
-    if (vf == v) return value ? nodes_[f].hi : nodes_[f].lo;
-    const Op op = value ? Op::kCof1 : Op::kCof0;
-    BddId cached;
-    const std::uint64_t key =
-        dd_cache_key(static_cast<std::uint8_t>(op), f, static_cast<BddId>(v));
-    if (cache_.lookup(key, cached)) return cached;
-    const BddId r = make(vf, cofactor_rec(nodes_[f].lo, v, value),
-                         cofactor_rec(nodes_[f].hi, v, value));
-    cache_store(key, r);
-    return r;
-}
-
-double BddManager::sat_count(BddId f) const {
-    // count(n) = number of satisfying assignments of the sub-function over the
-    // variables strictly below var_of(n)'s level; scale at the root.
-    std::unordered_map<BddId, double> memo;
-    const std::function<double(BddId)> rec = [&](BddId n) -> double {
-        if (n == kBddFalse) return 0.0;
-        if (n == kBddTrue) return 1.0;
-        const auto it = memo.find(n);
-        if (it != memo.end()) return it->second;
-        const auto gap = [&](BddId child) {
-            const std::uint32_t cv =
-                child < 2 ? num_vars_ : nodes_[child].var;
-            return static_cast<double>(cv - nodes_[n].var - 1);
-        };
-        const double c = rec(nodes_[n].lo) * std::pow(2.0, gap(nodes_[n].lo)) +
-                         rec(nodes_[n].hi) * std::pow(2.0, gap(nodes_[n].hi));
-        memo.emplace(n, c);
-        return c;
-    };
-    const std::uint32_t root_var = f < 2 ? num_vars_ : nodes_[f].var;
-    return rec(f) * std::pow(2.0, static_cast<double>(root_var));
 }
 
 }  // namespace ucp::zdd

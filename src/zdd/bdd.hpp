@@ -3,8 +3,8 @@
 // Used by the implicit prime-implicant generator: the Boolean function is built
 // as a BDD from its cover, then the Coudert–Madre recursion turns it into a ZDD
 // of prime cubes. The engine is deliberately small: no complement edges, no
-// dynamic reordering — the covering flow only needs AND/OR/NOT, cofactors and
-// satisfiability counting on functions of moderate support.
+// dynamic reordering — the recursion only needs AND/OR and the nodes'
+// children on functions of moderate support.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +44,6 @@ public:
     // ---- operations ----------------------------------------------------------
     BddId and_(BddId a, BddId b);
     BddId or_(BddId a, BddId b);
-    BddId not_(BddId a);
-    BddId xor_(BddId a, BddId b);
-    /// f with x_v fixed to the given value.
-    BddId cofactor(BddId f, std::uint32_t v, bool value);
 
     // ---- queries --------------------------------------------------------------
     [[nodiscard]] std::uint32_t var_of(BddId n) const noexcept {
@@ -57,8 +53,6 @@ public:
     [[nodiscard]] BddId hi_of(BddId n) const noexcept { return nodes_[n].hi; }
     [[nodiscard]] bool is_const(BddId n) const noexcept { return n < 2; }
 
-    /// Number of satisfying assignments over all num_vars() variables.
-    double sat_count(BddId f) const;
     /// Total allocated nodes (a size/debug metric).
     [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
@@ -81,7 +75,7 @@ public:
     BddId make(std::uint32_t v, BddId lo, BddId hi);
 
 private:
-    enum class Op : std::uint8_t { kAnd = 1, kOr, kXor, kNot, kCof0, kCof1 };
+    enum class Op : std::uint8_t { kAnd = 1, kOr = 2 };
 
     struct Node {
         std::uint32_t var;
@@ -90,8 +84,6 @@ private:
     };
 
     BddId apply(Op op, BddId a, BddId b);
-    BddId not_rec(BddId a);
-    BddId cofactor_rec(BddId f, std::uint32_t v, bool value);
 
     // Memory-budget accounting (DESIGN.md §13) — same ladder as the ZDD
     // manager minus stage 2: a transient BDD has no GC, so denial goes shed

@@ -11,8 +11,7 @@
 //   * ComputedCache<Result, Ways>   — a growable set-associative memo table
 //     (two ways by default) with branch-free probes and adaptive doubling.
 //     Templating on the result type lets the same cache memoise single
-//     nodes (NodeId/BddId) and fused result pairs (the cofactor-pair
-//     operator).
+//     nodes (NodeId/BddId) and fused result pairs (split's (a ∩ b, a − b)).
 //
 // The computed cache is lossy by design: dropping an entry only costs
 // recomputation, never correctness, so eviction and growth policies are pure
@@ -46,9 +45,10 @@ inline bool dd_chain_nodes_default() noexcept {
 }
 
 /// Construction-time tuning knobs shared by ZddManager and BddManager.
-/// Defaults match the measured sweet spot on the micro-ZDD suites; the
-/// two_level/table-builder pipeline plumbs them through TableBuildOptions and
-/// the CLI (`--zdd-gc-threshold`, `--zdd-cache-entries` — see README).
+/// The cache-size defaults follow DESIGN.md §8's measurements of the
+/// pipeline; the two_level/table-builder pipeline plumbs them through
+/// TableBuildOptions and the CLI (`--zdd-gc-threshold`,
+/// `--zdd-cache-entries` — see README).
 struct DdOptions {
     /// Initial computed-cache capacity in entries (rounded up to a power of
     /// two). The cache doubles itself while operations are missing *and* the

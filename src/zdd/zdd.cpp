@@ -1,11 +1,9 @@
 #include "zdd/zdd.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/bignum.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
 
@@ -58,28 +56,7 @@ void Zdd::release() noexcept {
     }
 }
 
-// A default-constructed Zdd is the empty family with no manager; the
-// operators honour that instead of dereferencing a null manager (count() and
-// node_count() below already did).
-Zdd Zdd::operator|(const Zdd& rhs) const {
-    if (mgr_ == nullptr) return rhs;       // {} ∪ b = b
-    if (rhs.mgr_ == nullptr) return *this;  // a ∪ {} = a
-    return mgr_->union_(*this, rhs);
-}
-Zdd Zdd::operator&(const Zdd& rhs) const {
-    if (mgr_ == nullptr || rhs.mgr_ == nullptr) return Zdd();  // a ∩ {} = {}
-    return mgr_->intersect(*this, rhs);
-}
-Zdd Zdd::operator-(const Zdd& rhs) const {
-    if (mgr_ == nullptr) return Zdd();      // {} − b = {}
-    if (rhs.mgr_ == nullptr) return *this;  // a − {} = a
-    return mgr_->diff(*this, rhs);
-}
-Zdd Zdd::operator*(const Zdd& rhs) const {
-    if (mgr_ == nullptr || rhs.mgr_ == nullptr) return Zdd();  // a × {} = {}
-    return mgr_->product(*this, rhs);
-}
-
+// A default-constructed Zdd is the empty family with no manager.
 double Zdd::count() const { return mgr_ == nullptr ? 0.0 : mgr_->count(*this); }
 
 std::size_t Zdd::node_count() const {
@@ -142,25 +119,6 @@ void ZddManager::flush_stats() noexcept {
     cache_flushed_ = cs;
     gc_flushed_ = gc_stats_;
     chain_flushed_ = chain_stats_;
-}
-
-// Filtering operators (non_sub_set, minimal, ...) usually keep most of their
-// input, so the rebuilt children frequently equal `a`'s own — in that case
-// `a` IS the canonical result and the unique-table probe can be skipped.
-// Valid for plain `a` only: a chain node's raw (lo, hi) belong to its bottom
-// level, not to v.
-NodeId ZddManager::make_like(NodeId a, Var v, NodeId lo, NodeId hi) {
-    UCP_ASSERT(!is_chain(a));
-    const Node& n = nodes_[a];
-    if (n.lo == lo && n.hi == hi) return a;
-    return make(v, lo, hi);
-}
-
-NodeId ZddManager::make_chain_like(NodeId a, Var t, Var b, NodeId lo, NodeId hi) {
-    UCP_ASSERT(var_of(a) == t && bot_of(a) == b);
-    const Node& n = nodes_[a];
-    if (n.lo == lo && n.hi == hi) return a;
-    return make_chain(t, b, lo, hi);
 }
 
 NodeId ZddManager::make(Var v, NodeId lo, NodeId hi) {
@@ -408,38 +366,6 @@ std::size_t ZddManager::gc() {
 }
 
 // ---------------------------------------------------------------------------
-// Constructors
-// ---------------------------------------------------------------------------
-
-Zdd ZddManager::single(Var v) {
-    UCP_REQUIRE(v < num_vars_, "variable out of range");
-    return handle(make(v, kEmpty, kBase));
-}
-
-Zdd ZddManager::set_of(const std::vector<Var>& vars) {
-    std::vector<Var> sorted = vars;
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    NodeId cur = kBase;
-    for (const Var v : sorted) {
-        UCP_REQUIRE(v < num_vars_, "variable out of range");
-        UCP_REQUIRE(cur == kBase || v < var_of(cur), "duplicate variable in set");
-        cur = make(v, kEmpty, cur);
-    }
-    return handle(cur);
-}
-
-Zdd ZddManager::power_set(const std::vector<Var>& vars) {
-    std::vector<Var> sorted = vars;
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    NodeId cur = kBase;
-    for (const Var v : sorted) {
-        UCP_REQUIRE(v < num_vars_, "variable out of range");
-        cur = make(v, cur, cur);
-    }
-    return handle(cur);
-}
-
-// ---------------------------------------------------------------------------
 // Core set operations
 // ---------------------------------------------------------------------------
 
@@ -579,427 +505,9 @@ bool ZddManager::contains_empty(NodeId a) const noexcept {
     return a == kBase;
 }
 
-Zdd ZddManager::subset0(const Zdd& a, Var v) {
-    UCP_REQUIRE(v < num_vars_, "variable out of range");
-    Zdd r = handle(subset0_rec(a.id(), v));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::subset0_rec(NodeId a, Var v) {
-    const Var va = var_of(a);
-    if (va > v) return a;  // v cannot occur below (ordering) — includes terminals
-    const Var ba = bot_of(a);
-    if (v < ba) {  // v is a chain-interior level: every set contains it
-        ++chain_stats_.hits;
-        return kEmpty;
-    }
-    if (v == ba) {
-        // Strip the branch: the surviving sets are prefix ⊔ lo. Plain nodes
-        // (va == ba) fold to plain `lo` with no allocation.
-        if (va != ba) ++chain_stats_.hits;
-        return make_chain(va, ba, nodes_[a].lo, kEmpty);
-    }
-    NodeId cached;
-    if (cache_lookup(Op::kSubset0, a, static_cast<NodeId>(v), cached)) return cached;
-    const NodeId r = make_chain_like(a, va, ba, subset0_rec(nodes_[a].lo, v),
-                                     subset0_rec(nodes_[a].hi, v));
-    cache_store(Op::kSubset0, a, static_cast<NodeId>(v), r);
-    return r;
-}
-
-Zdd ZddManager::subset1(const Zdd& a, Var v) {
-    UCP_REQUIRE(v < num_vars_, "variable out of range");
-    Zdd r = handle(subset1_rec(a.id(), v));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::subset1_rec(NodeId a, Var v) {
-    const Var va = var_of(a);
-    if (va > v) return kEmpty;
-    const Var ba = bot_of(a);
-    if (v < ba) {
-        // Chain-interior level: every set contains v. Removing it splits the
-        // prefix around v: {va..v−1} ⊔ ⟨v+1 : ba, lo, hi⟩.
-        ++chain_stats_.hits;
-        return make_chain(va, v, make_chain(v + 1, ba, nodes_[a].lo, nodes_[a].hi),
-                          kEmpty);
-    }
-    if (v == ba) {
-        // Branch level: the hi sets, with their prefix kept. Plain nodes
-        // fold to plain `hi`.
-        if (va != ba) ++chain_stats_.hits;
-        return make_chain(va, ba, nodes_[a].hi, kEmpty);
-    }
-    NodeId cached;
-    if (cache_lookup(Op::kSubset1, a, static_cast<NodeId>(v), cached)) return cached;
-    const NodeId r = make_chain_like(a, va, ba, subset1_rec(nodes_[a].lo, v),
-                                     subset1_rec(nodes_[a].hi, v));
-    cache_store(Op::kSubset1, a, static_cast<NodeId>(v), r);
-    return r;
-}
-
-Zdd ZddManager::change(const Zdd& a, Var v) {
-    UCP_REQUIRE(v < num_vars_, "variable out of range");
-    Zdd r = handle(change_rec(a.id(), v));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::change_rec(NodeId a, Var v) {
-    const Var va = var_of(a);
-    if (va > v) return make(v, kEmpty, a);
-    const Var ba = bot_of(a);
-    if (v < ba) {
-        // Chain-interior level: every set contains v, so the toggle removes
-        // it everywhere — same split as subset1's interior case.
-        ++chain_stats_.hits;
-        return make_chain(va, v, make_chain(v + 1, ba, nodes_[a].lo, nodes_[a].hi),
-                          kEmpty);
-    }
-    if (v == ba) {
-        // Branch level: lo sets gain v, hi sets lose it — swap under the
-        // shared prefix.
-        if (va != ba) ++chain_stats_.hits;
-        return make_chain(va, ba, nodes_[a].hi, nodes_[a].lo);
-    }
-    NodeId cached;
-    if (cache_lookup(Op::kChange, a, static_cast<NodeId>(v), cached)) return cached;
-    const NodeId r = make_chain_like(a, va, ba, change_rec(nodes_[a].lo, v),
-                                     change_rec(nodes_[a].hi, v));
-    cache_store(Op::kChange, a, static_cast<NodeId>(v), r);
-    return r;
-}
-
 // ---------------------------------------------------------------------------
-// Cube-set operations
+// Fused compound operator
 // ---------------------------------------------------------------------------
-
-Zdd ZddManager::product(const Zdd& a, const Zdd& b) {
-    Zdd r = handle(product_rec(a.id(), b.id()));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::product_rec(NodeId a, NodeId b) {
-    if (a == kEmpty || b == kEmpty) return kEmpty;
-    if (a == kBase) return b;
-    if (b == kBase) return a;
-    if (a > b) std::swap(a, b);  // commutative
-    NodeId cached;
-    if (cache_lookup(Op::kProduct, a, b, cached)) return cached;
-
-    const Var va = var_of(a), vb = var_of(b);
-    const Var v = std::min(va, vb);
-    // Equal tops share their must-prefix down to m (it distributes over the
-    // pairwise unions: (P∪s)∪(P∪s') = P∪(s∪s')); otherwise decompose at v.
-    const Var m = va == vb ? std::min(bot_of(a), bot_of(b)) : v;
-    if (m > v) ++chain_stats_.hits;
-    NodeId a0, a1, b0, b1;
-    view_at(a, v, m, a0, a1);
-    view_at(b, v, m, b0, b1);
-
-    // (v·a1 + a0)(v·b1 + b0) = v·(a1 b1 + a1 b0 + a0 b1) + a0 b0
-    const NodeId p11 = product_rec(a1, b1);
-    const NodeId p10 = product_rec(a1, b0);
-    const NodeId p01 = product_rec(a0, b1);
-    const NodeId p00 = product_rec(a0, b0);
-    const NodeId hi = union_rec(p11, union_rec(p10, p01));
-    const NodeId r = make_chain(v, m, p00, hi);
-    cache_store(Op::kProduct, a, b, r);
-    return r;
-}
-
-Zdd ZddManager::sup_set(const Zdd& a, const Zdd& b) {
-    Zdd r = handle(sup_set_rec(a.id(), b.id()));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::sup_set_rec(NodeId a, NodeId b) {
-    if (a == kEmpty || b == kEmpty) return kEmpty;
-    if (b == kBase) return a;  // every set contains ∅
-    if (a == kBase) return contains_empty(b) ? kBase : kEmpty;  // ∅ ⊇ g iff g = ∅
-    if (a == b) return a;
-    NodeId cached;
-    if (cache_lookup(Op::kSupSet, a, b, cached)) return cached;
-
-    const Var va = var_of(a), vb = var_of(b);
-    NodeId r;
-    if (va < vb) {
-        // v ∈ a-sets only: f = {v}∪f' ⊇ g iff f' ⊇ g (v ∉ g). A chain a
-        // keeps its whole prefix: P∪f' ⊇ g iff f' ⊇ g, so recurse on the
-        // remainder and re-glue the prefix.
-        if (is_chain(a)) {
-            ++chain_stats_.hits;
-            const NodeId rest =
-                make_chain(va + 1, bot_of(a), nodes_[a].lo, nodes_[a].hi);
-            r = make(va, kEmpty, sup_set_rec(rest, b));
-        } else {
-            r = make(va, sup_set_rec(nodes_[a].lo, b),
-                     sup_set_rec(nodes_[a].hi, b));
-        }
-    } else if (vb < va) {
-        // g containing v cannot be ⊆ any f (v ∉ f): only g ∈ b.lo matter.
-        // A chain b has no such g at all.
-        if (is_chain(b)) {
-            ++chain_stats_.hits;
-            r = kEmpty;
-        } else {
-            r = sup_set_rec(a, nodes_[b].lo);
-        }
-    } else {
-        // Equal tops: P∪s ⊇ P∪s' ⟺ s ⊇ s' (P disjoint from the views).
-        const Var m = std::min(bot_of(a), bot_of(b));
-        if (m > va) ++chain_stats_.hits;
-        NodeId a0, a1, b0, b1;
-        view_at(a, va, m, a0, a1);
-        view_at(b, va, m, b0, b1);
-        const NodeId hi =
-            union_rec(sup_set_rec(a1, b1), sup_set_rec(a1, b0));
-        r = make_chain(va, m, sup_set_rec(a0, b0), hi);
-    }
-    cache_store(Op::kSupSet, a, b, r);
-    return r;
-}
-
-Zdd ZddManager::sub_set(const Zdd& a, const Zdd& b) {
-    Zdd r = handle(sub_set_rec(a.id(), b.id()));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::sub_set_rec(NodeId a, NodeId b) {
-    if (a == kEmpty || b == kEmpty) return kEmpty;
-    if (a == kBase) return kBase;  // ∅ ⊆ any g, and b ≠ ∅ here
-    if (a == b) return a;
-    if (b == kBase) return contains_empty(a) ? kBase : kEmpty;
-    NodeId cached;
-    if (cache_lookup(Op::kSubSet, a, b, cached)) return cached;
-
-    const Var va = var_of(a), vb = var_of(b);
-    NodeId r;
-    if (va < vb) {
-        // f containing v cannot be ⊆ any g (v ∉ g). A chain a has no other
-        // sets.
-        if (is_chain(a)) {
-            ++chain_stats_.hits;
-            r = kEmpty;
-        } else {
-            r = sub_set_rec(nodes_[a].lo, b);
-        }
-    } else if (vb < va) {
-        // g = {v}∪g': f ⊆ g iff f ⊆ g' (v ∉ f). For a chain b the prefix
-        // levels are all optional containers: strip them one at a time.
-        if (is_chain(b)) {
-            ++chain_stats_.hits;
-            r = sub_set_rec(
-                a, make_chain(vb + 1, bot_of(b), nodes_[b].lo, nodes_[b].hi));
-        } else {
-            r = sub_set_rec(a, union_rec(nodes_[b].lo, nodes_[b].hi));
-        }
-    } else {
-        // Equal tops: P∪f' ⊆ P∪g' ⟺ f' ⊆ g' on the m-views.
-        const Var m = std::min(bot_of(a), bot_of(b));
-        if (m > va) ++chain_stats_.hits;
-        NodeId a0, a1, b0, b1;
-        view_at(a, va, m, a0, a1);
-        view_at(b, va, m, b0, b1);
-        const NodeId lo = sub_set_rec(a0, union_rec(b0, b1));
-        r = make_chain(va, m, lo, sub_set_rec(a1, b1));
-    }
-    cache_store(Op::kSubSet, a, b, r);
-    return r;
-}
-
-// ---------------------------------------------------------------------------
-// Fused compound operators
-// ---------------------------------------------------------------------------
-
-Zdd ZddManager::non_sub_set(const Zdd& a, const Zdd& b) {
-    Zdd r = handle(non_sub_set_rec(a.id(), b.id()));
-    maybe_gc();
-    return r;
-}
-
-/// Strips the ∅ member from `a` (rebuilds the lo-spine only; no memo needed).
-NodeId ZddManager::drop_empty(NodeId a) {
-    if (a <= kBase) return kEmpty;
-    if (is_chain(a)) return a;  // every set contains the prefix: ∅ ∉ a
-    return make(var_of(a), drop_empty(nodes_[a].lo), nodes_[a].hi);
-}
-
-// { f ∈ a : ∀g ∈ b, f ⊄ g } = a − sub_set(a, b), fused into one recursion so
-// the dominated intermediate family is never materialised.
-//
-// Unlike sub_set_rec, the b-branches are handled by intersecting two
-// survivor subfamilies instead of recursing on union(b.lo, b.hi): building
-// union operands mints fresh node families at every level, which wrecks memo
-// sharing and floods the arena. Here every recursive call keeps BOTH operands
-// inside the original sub-DAGs (O(|a|·|b|) distinct subproblems) and only the
-// results — subfamilies of a — meet in a cheap memoised intersect.
-NodeId ZddManager::non_sub_set_rec(NodeId a, NodeId b) {
-    if (a == kEmpty || a == b) return kEmpty;  // every f ⊆ f
-    if (b == kEmpty) return a;
-    if (a == kBase) return kEmpty;  // ∅ ⊆ any g, and b ≠ ∅ here
-    if (b == kBase) return drop_empty(a);  // only ∅ fits inside ∅
-    NodeId cached;
-    if (cache_lookup(Op::kNonSubSet, a, b, cached)) return cached;
-
-    const Var va = var_of(a), vb = var_of(b);
-    NodeId r;
-    if (va < vb) {
-        // f containing va cannot be ⊆ any g (va ∉ g): the hi-branch survives.
-        // A chain a survives wholesale.
-        if (is_chain(a)) {
-            ++chain_stats_.hits;
-            r = a;
-        } else {
-            r = make_like(a, va, non_sub_set_rec(nodes_[a].lo, b),
-                          nodes_[a].hi);
-        }
-    } else if (vb < va) {
-        // f ⊆ {vb}∪g' iff f ⊆ g' (vb ∉ f): f must evade b.lo and b.hi alike.
-        // For a chain b, peel its top prefix level (no lo half to evade).
-        if (is_chain(b)) {
-            ++chain_stats_.hits;
-            r = non_sub_set_rec(
-                a, make_chain(vb + 1, bot_of(b), nodes_[b].lo, nodes_[b].hi));
-        } else {
-            r = intersect_rec(non_sub_set_rec(a, nodes_[b].lo),
-                              non_sub_set_rec(a, nodes_[b].hi));
-        }
-    } else {
-        // Equal tops: strict containment is preserved under the shared
-        // prefix (P∪f' ⊂ P∪g' ⟺ f' ⊂ g'), so the plain combine applies to
-        // the m-views. Sets with m can only fit inside {m}∪g' (g' ∈ b1);
-        // sets without m must evade both halves of b.
-        const Var m = std::min(bot_of(a), bot_of(b));
-        if (m > va) ++chain_stats_.hits;
-        NodeId a0, a1, b0, b1;
-        view_at(a, va, m, a0, a1);
-        view_at(b, va, m, b0, b1);
-        const NodeId lo =
-            b0 == kEmpty ? non_sub_set_rec(a0, b1)
-                         : intersect_rec(non_sub_set_rec(a0, b0),
-                                         non_sub_set_rec(a0, b1));
-        const NodeId hi = non_sub_set_rec(a1, b1);
-        r = m == bot_of(a) ? make_chain_like(a, va, m, lo, hi)
-                           : make_chain(va, m, lo, hi);
-    }
-    cache_store(Op::kNonSubSet, a, b, r);
-    return r;
-}
-
-Zdd ZddManager::non_sup_set(const Zdd& a, const Zdd& b) {
-    Zdd r = handle(non_sup_set_rec(a.id(), b.id()));
-    maybe_gc();
-    return r;
-}
-
-// { f ∈ a : ∀g ∈ b, f ⊉ g } = a − sup_set(a, b), fused. Mirrors sup_set_rec's
-// case split; the equal-var hi-branch intersects two survivor subfamilies
-// (see non_sub_set_rec for why no union operands are built).
-NodeId ZddManager::non_sup_set_rec(NodeId a, NodeId b) {
-    if (a == kEmpty || a == b) return kEmpty;  // every f ⊇ f
-    if (b == kEmpty) return a;
-    if (b == kBase) return kEmpty;  // every f ⊇ ∅
-    if (a == kBase) return contains_empty(b) ? kEmpty : kBase;
-    NodeId cached;
-    if (cache_lookup(Op::kNonSupSet, a, b, cached)) return cached;
-
-    const Var va = var_of(a), vb = var_of(b);
-    NodeId r;
-    if (va < vb) {
-        // va ∉ any g: f = {va}∪f' ⊇ g iff f' ⊇ g — both branches recurse on
-        // b. A chain a filters its remainder and re-glues the prefix.
-        if (is_chain(a)) {
-            ++chain_stats_.hits;
-            const NodeId rest =
-                make_chain(va + 1, bot_of(a), nodes_[a].lo, nodes_[a].hi);
-            r = make(va, kEmpty, non_sup_set_rec(rest, b));
-        } else {
-            r = make_like(a, va, non_sup_set_rec(nodes_[a].lo, b),
-                          non_sup_set_rec(nodes_[a].hi, b));
-        }
-    } else if (vb < va) {
-        // g containing vb cannot be ⊆ any f (vb ∉ f): only g ∈ b.lo matter.
-        // A chain b has no vb-free sets, so nothing in a is ⊇ any g.
-        if (is_chain(b)) {
-            ++chain_stats_.hits;
-            r = a;
-        } else {
-            r = non_sup_set_rec(a, nodes_[b].lo);
-        }
-    } else {
-        // Equal tops: ⊇ is preserved under the shared prefix, so the plain
-        // combine applies to the m-views. f = {m}∪f' ⊇ g iff f' ⊇ g
-        // (g ∈ b0) or f' ⊇ g' (g = {m}∪g'): the hi survivors must evade
-        // both halves of b.
-        const Var m = std::min(bot_of(a), bot_of(b));
-        if (m > va) ++chain_stats_.hits;
-        NodeId a0, a1, b0, b1;
-        view_at(a, va, m, a0, a1);
-        view_at(b, va, m, b0, b1);
-        const NodeId hi =
-            b0 == kEmpty ? non_sup_set_rec(a1, b1)
-                         : intersect_rec(non_sup_set_rec(a1, b0),
-                                         non_sup_set_rec(a1, b1));
-        const NodeId lo = non_sup_set_rec(a0, b0);
-        r = m == bot_of(a) ? make_chain_like(a, va, m, lo, hi)
-                           : make_chain(va, m, lo, hi);
-    }
-    cache_store(Op::kNonSupSet, a, b, r);
-    return r;
-}
-
-std::pair<Zdd, Zdd> ZddManager::cofactors(const Zdd& a, Var v) {
-    UCP_REQUIRE(v < num_vars_, "variable out of range");
-    const NodePair p = cofactors_rec(a.id(), v);
-    std::pair<Zdd, Zdd> r{handle(p.lo), handle(p.hi)};
-    maybe_gc();
-    return r;
-}
-
-// One walk computing (subset0, subset1) together: each node of `a` is visited
-// once and both results are memoised under a single pair-cache entry, instead
-// of two independent traversals with two cache probes per node.
-ZddManager::NodePair ZddManager::cofactors_rec(NodeId a, Var v) {
-    const Var va = var_of(a);
-    if (va > v) return {a, kEmpty};  // v cannot occur below — incl. terminals
-    const Var ba = bot_of(a);
-    if (v < ba) {
-        // Chain-interior level: every set contains v, so subset0 is empty
-        // and subset1 splits the prefix around v (cheap rewrites, answered
-        // before the pair-cache probe like the other base cases).
-        ++chain_stats_.hits;
-        return {kEmpty,
-                make_chain(va, v,
-                           make_chain(v + 1, ba, nodes_[a].lo, nodes_[a].hi),
-                           kEmpty)};
-    }
-    if (v == ba) {
-        if (va == ba) return {nodes_[a].lo, nodes_[a].hi};
-        // Branch level of a chain: both children keep the prefix.
-        ++chain_stats_.hits;
-        return {make_chain(va, ba, nodes_[a].lo, kEmpty),
-                make_chain(va, ba, nodes_[a].hi, kEmpty)};
-    }
-    NodePair cached;
-    const std::uint64_t key =
-        dd_cache_key(static_cast<std::uint8_t>(Op::kCofactors), a,
-                     static_cast<NodeId>(v));
-    if (pair_cache_.lookup(key, cached)) return cached;
-    const NodePair pl = cofactors_rec(nodes_[a].lo, v);
-    const NodePair ph = cofactors_rec(nodes_[a].hi, v);
-    const NodePair r{make_chain(va, ba, pl.lo, ph.lo),
-                     make_chain(va, ba, pl.hi, ph.hi)};
-    const std::uint64_t grew = pair_cache_.resizes();
-    pair_cache_.store(key, r);
-    if (mem_.governed() && pair_cache_.resizes() != grew) sync_memory();
-    return r;
-}
 
 std::pair<Zdd, Zdd> ZddManager::split(const Zdd& a, const Zdd& b) {
     const NodePair p = split_rec(a.id(), b.id());
@@ -1050,108 +558,6 @@ ZddManager::NodePair ZddManager::split_rec(NodeId a, NodeId b) {
     return r;
 }
 
-bool ZddManager::contains_set(const Zdd& family,
-                              const Zdd& single_set) const noexcept {
-    // Virtual level cursors: (node, level) pairs walk chain intervals one
-    // level at a time without materialising split nodes (this query is const
-    // noexcept — it must not allocate). `flev`/`slev` are the next levels to
-    // consume; a cursor inside a chain (level < bot) has an implicit
-    // ∅ lo-child.
-    NodeId fam = family.id();
-    NodeId s = single_set.id();
-    Var flev = var_of(fam);
-    Var slev = var_of(s);
-    while (true) {
-        if (s == kBase) {
-            // Need ∅ in the *remaining* fam view: follow the lo-spine, but a
-            // chain level not yet consumed by the cursor is mandatory.
-            while (fam >= 2) {
-                if (flev < bot_of(fam)) return false;
-                fam = nodes_[fam].lo;
-                flev = var_of(fam);
-            }
-            return fam == kBase;
-        }
-        if (s == kEmpty || fam < 2) return false;
-        if (flev > slev) return false;  // no set of fam contains slev (ordering)
-        if (flev < slev) {
-            // The target set has no flev: need fam's lo view, which is empty
-            // while the cursor is inside fam's chain prefix.
-            if (flev < bot_of(fam)) return false;
-            fam = nodes_[fam].lo;
-            flev = var_of(fam);
-        } else {
-            // Both have flev: consume it on each cursor.
-            if (flev < bot_of(fam)) {
-                ++flev;
-            } else {
-                fam = nodes_[fam].hi;
-                flev = var_of(fam);
-            }
-            if (slev < bot_of(s)) {
-                ++slev;
-            } else {
-                s = nodes_[s].hi;
-                slev = var_of(s);
-            }
-        }
-    }
-}
-
-Zdd ZddManager::maximal(const Zdd& a) {
-    Zdd r = handle(maximal_rec(a.id()));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::maximal_rec(NodeId a) {
-    if (a <= kBase) return a;
-    NodeId cached;
-    if (cache_lookup(Op::kMaximal, a, a, cached)) return cached;
-    // The shared chain prefix is in every set, so maximality is decided by
-    // the sub-families at the branch level: maximal(P ⊔ F) = P ⊔ maximal(F).
-    // The recursion therefore runs on the raw children at bot_of(a), chain or
-    // plain alike.
-    const Var t = var_of(a), b = bot_of(a);
-    const NodeId max_hi = maximal_rec(nodes_[a].hi);
-    const NodeId max_lo = maximal_rec(nodes_[a].lo);
-    // A set without b is maximal iff maximal in the lo-branch and not contained
-    // in any set of the hi-branch (which would strictly contain it via b) —
-    // the fused non_sub_set, one pass instead of sub_set + diff. Filtering
-    // against max_hi (not the raw hi-branch) is equivalent: s ⊆ t implies
-    // s ⊆ t' for some maximal t' ⊇ t.
-    const NodeId r =
-        make_chain_like(a, t, b, non_sub_set_rec(max_lo, max_hi), max_hi);
-    cache_store(Op::kMaximal, a, a, r);
-    return r;
-}
-
-Zdd ZddManager::minimal(const Zdd& a) {
-    Zdd r = handle(minimal_rec(a.id()));
-    maybe_gc();
-    return r;
-}
-
-NodeId ZddManager::minimal_rec(NodeId a) {
-    if (a <= kBase) return a;
-    NodeId cached;
-    if (cache_lookup(Op::kMinimal, a, a, cached)) return cached;
-    // minimal(P ⊔ F) = P ⊔ minimal(F): the chain prefix never affects
-    // inclusion between two sets that both carry it (see maximal_rec).
-    const Var t = var_of(a), b = bot_of(a);
-    const NodeId min_lo = minimal_rec(nodes_[a].lo);
-    const NodeId min_hi = minimal_rec(nodes_[a].hi);
-    // A set containing b is minimal iff minimal in the hi-branch and not a
-    // superset of any set in the lo-branch — fused non_sup_set. Filtering
-    // against min_lo (not the raw lo-branch) is equivalent — t ⊆ s implies a
-    // minimal t' ⊆ t ⊆ s — and the smaller canonical operand recurs across
-    // the DAG, so the memo works harder.
-    const NodeId r =
-        make_chain_like(a, t, b, min_lo, non_sup_set_rec(min_hi, min_lo));
-    cache_store(Op::kMinimal, a, a, r);
-    return r;
-}
-
 // ---------------------------------------------------------------------------
 // Queries
 // ---------------------------------------------------------------------------
@@ -1168,20 +574,6 @@ double ZddManager::count(const Zdd& a) {
         return c;
     };
     return rec(a.id());
-}
-
-std::string ZddManager::count_exact(const Zdd& a) const {
-    std::unordered_map<NodeId, BigUint> memo;
-    const std::function<BigUint(NodeId)> rec = [&](NodeId n) -> BigUint {
-        if (n == kEmpty) return BigUint(0);
-        if (n == kBase) return BigUint(1);
-        const auto it = memo.find(n);
-        if (it != memo.end()) return it->second;
-        BigUint c = rec(nodes_[n].lo) + rec(nodes_[n].hi);
-        memo.emplace(n, c);
-        return c;
-    };
-    return rec(a.id()).to_string();
 }
 
 std::size_t ZddManager::node_count(const Zdd& a) const {
@@ -1217,55 +609,6 @@ void ZddManager::for_each_set(
         path.resize(path.size() - (b - t));
     };
     rec(a.id());
-}
-
-std::vector<Var> ZddManager::any_set(const Zdd& a) const {
-    UCP_REQUIRE(!a.is_empty(), "any_set on empty family");
-    std::vector<Var> out;
-    NodeId n = a.id();
-    while (n >= 2) {
-        // Chain prefix levels are mandatory; at the branch level follow the
-        // lo-branch when possible (lexicographically smallest set), take the
-        // hi-branch when lo is empty.
-        const Var t = var_of(n), b = bot_of(n);
-        for (Var v = t; v < b; ++v) out.push_back(v);
-        if (nodes_[n].lo != kEmpty) {
-            n = nodes_[n].lo;
-        } else {
-            out.push_back(b);
-            n = nodes_[n].hi;
-        }
-    }
-    return out;
-}
-
-std::string ZddManager::to_dot(const Zdd& a, const std::string& name) const {
-    std::ostringstream os;
-    os << "digraph " << name << " {\n";
-    os << "  t0 [shape=box,label=\"0\"]; t1 [shape=box,label=\"1\"];\n";
-    std::unordered_set<NodeId> seen;
-    const std::function<void(NodeId)> rec = [&](NodeId n) {
-        if (n < 2 || !seen.insert(n).second) return;
-        os << "  n" << n << " [label=\"x" << var_of(n);
-        if (is_chain(n)) os << ":x" << bot_of(n);
-        os << "\"];\n";
-        auto edge = [&](NodeId child, const char* style) {
-            os << "  n" << n << " -> "
-               << (child < 2 ? (child == 0 ? "t0" : "t1")
-                             : "n" + std::to_string(child))
-               << " [style=" << style << "];\n";
-        };
-        edge(nodes_[n].lo, "dashed");
-        edge(nodes_[n].hi, "solid");
-        rec(nodes_[n].lo);
-        rec(nodes_[n].hi);
-    };
-    rec(a.id());
-    if (a.id() < 2) {
-        // Nothing else to draw for a terminal root.
-    }
-    os << "}\n";
-    return os.str();
 }
 
 }  // namespace ucp::zdd

@@ -27,9 +27,9 @@
 //     make() absorbs (v, ∅, hi) into hi's chain automatically, so chain
 //     formation is invisible to callers; runs longer than 255 levels split
 //     into segments.
-//   * A lossy, growable 4-way set-associative computed cache (dd_common.hpp)
-//     memoises operations; fused compound operators (split,
-//     non_sub_set/non_sup_set, the cofactor pair) get their own memo slots.
+//   * A lossy, growable set-associative computed cache (dd_common.hpp)
+//     memoises operations; the fused split (a ∩ b, a − b) gets its own
+//     pair-memo.
 //   * External references are RAII handles (class Zdd). Garbage collection is
 //     mark-and-sweep from the externally referenced roots; it runs only
 //     between top-level operations, never during a recursion.
@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -78,12 +77,6 @@ public:
     }
     friend bool operator!=(const Zdd& a, const Zdd& b) noexcept { return !(a == b); }
 
-    // Set-algebra convenience operators (delegate to the manager).
-    Zdd operator|(const Zdd& rhs) const;  ///< union
-    Zdd operator&(const Zdd& rhs) const;  ///< intersection
-    Zdd operator-(const Zdd& rhs) const;  ///< difference
-    Zdd operator*(const Zdd& rhs) const;  ///< cube-set (unate) product
-
     /// Number of sets in the family (saturating at ~1e18 as uint64, exact as double
     /// up to 2^53).
     [[nodiscard]] double count() const;
@@ -116,80 +109,23 @@ public:
     // ---- constructors -------------------------------------------------------
     Zdd empty() { return Zdd(this, kEmpty); }
     Zdd base() { return Zdd(this, kBase); }
-    /// The family {{v}} containing the single set {v}.
-    Zdd single(Var v);
-    /// The family containing exactly the given set of variables (one set).
-    Zdd set_of(const std::vector<Var>& vars);
-    /// Family of all 2^k subsets of the given variables.
-    Zdd power_set(const std::vector<Var>& vars);
 
     // ---- core set operations ------------------------------------------------
     Zdd union_(const Zdd& a, const Zdd& b);
     Zdd intersect(const Zdd& a, const Zdd& b);
     Zdd diff(const Zdd& a, const Zdd& b);
-    /// Subsets of `a` not containing v (a.k.a. offset / subset0).
-    Zdd subset0(const Zdd& a, Var v);
-    /// Subsets of `a` containing v, with v removed (a.k.a. onset / subset1).
-    Zdd subset1(const Zdd& a, Var v);
-    /// Toggle membership of v in every set of `a`.
-    Zdd change(const Zdd& a, Var v);
-
-    // ---- cube-set operations (Minato / Coudert operators) -------------------
-    /// All pairwise unions of a set from `a` and a set from `b`.
-    Zdd product(const Zdd& a, const Zdd& b);
-    /// { f ∈ a : ∃ g ∈ b, f ⊇ g }.
-    Zdd sup_set(const Zdd& a, const Zdd& b);
-    /// { f ∈ a : ∃ g ∈ b, f ⊆ g }.
-    Zdd sub_set(const Zdd& a, const Zdd& b);
-    /// Sets of `a` that are maximal under inclusion within `a` (one-pass
-    /// Minato recursion over the fused non_sub_set operator).
-    Zdd maximal(const Zdd& a);
-    /// Sets of `a` that are minimal under inclusion within `a` (one-pass,
-    /// via non_sup_set).
-    Zdd minimal(const Zdd& a);
-
-    // ---- fused compound operators -------------------------------------------
-    // Each fuses a two-operator pattern of the implicit covering phase into a
-    // single individually-memoised recursion. By canonicity the results are
-    // structurally identical (same NodeId) to the composed forms.
     /// (a ∩ b, a − b) in one walk with a pair-memo: the partition-refinement
-    /// step of the covering-table build. When a ∩ b is empty the difference
-    /// is `a` itself, returned without rebuilding it.
+    /// step of the covering-table build. By canonicity the halves are the
+    /// same nodes intersect() and diff() return. When a ∩ b is empty the
+    /// difference is `a` itself, returned without rebuilding it.
     std::pair<Zdd, Zdd> split(const Zdd& a, const Zdd& b);
-    /// { f ∈ a : ∀g ∈ b, f ⊄ g } — a − sub_set(a, b) in one pass.
-    Zdd non_sub_set(const Zdd& a, const Zdd& b);
-    /// { f ∈ a : ∀g ∈ b, f ⊉ g } — a − sup_set(a, b) in one pass.
-    Zdd non_sup_set(const Zdd& a, const Zdd& b);
-    /// (subset0(a, v), subset1(a, v)) in one walk with a pair-memo: each node
-    /// of `a` is visited once instead of twice.
-    std::pair<Zdd, Zdd> cofactors(const Zdd& a, Var v);
 
     // ---- queries -------------------------------------------------------------
-    /// True iff ∅ ∈ a (O(depth) walk down the lo-spine; replaces the
-    /// intersect-with-base idiom).
-    [[nodiscard]] bool has_empty_set(const Zdd& a) const noexcept {
-        return contains_empty(a.id());
-    }
-    /// True iff the single set represented by `single_set` (a one-member
-    /// family, e.g. from set_of) is a member of `family`. O(set size) walk —
-    /// replaces the intersect-then-compare idiom.
-    [[nodiscard]] bool contains_set(const Zdd& family,
-                                    const Zdd& single_set) const noexcept;
     double count(const Zdd& a);
-    /// Exact cardinality as a decimal string (families beyond 2^53 overflow
-    /// the double count; this never does).
-    std::string count_exact(const Zdd& a) const;
     std::size_t node_count(const Zdd& a) const;
     /// Invokes fn once per set in the family, with the sorted member variables.
     void for_each_set(const Zdd& a,
                       const std::function<void(const std::vector<Var>&)>& fn) const;
-    /// One arbitrary set of the family (the lexicographically first path).
-    /// Precondition: a is not empty.
-    std::vector<Var> any_set(const Zdd& a) const;
-
-    /// Graphviz dump for debugging / documentation.
-    std::string to_dot(const Zdd& a, const std::string& name = "zdd") const;
-
     /// Computed-cache statistics since construction. Each manager is
     /// single-threaded, so these are plain (non-atomic) counters; the
     /// destructor folds them into the global stats registry.
@@ -250,7 +186,8 @@ public:
 
     /// The resource governor this manager charges arena growth to (from
     /// DdOptions::governor; nullptr = ungoverned). Recursion roots built on
-    /// top of the manager (zdd_cover, implicit_primes) poll it too.
+    /// top of the manager (implicit_primes, the table refinement) poll it
+    /// too.
     [[nodiscard]] Budget* governor() const noexcept { return governor_; }
 
     /// Reserved footprint in bytes: arena + cold arrays + unique table +
@@ -288,11 +225,6 @@ public:
     /// Hash-consed node constructor enforcing the zero-suppression rule and
     /// (with chain_nodes) the chain absorption rule.
     NodeId make(Var v, NodeId lo, NodeId hi);
-    /// make() that first checks whether (lo, hi) are exactly node `a`'s
-    /// children (with a.var == v): then `a` is the result, probe-free.
-    /// Only valid when `a` is a plain node (chain callers use
-    /// make_chain_like).
-    NodeId make_like(NodeId a, Var v, NodeId lo, NodeId hi);
     /// General chain constructor for ⟨t:b, lo, hi⟩ (t ≤ b ≤ bottom of a
     /// 255-level segment). Canonicalises: zero-suppression (hi == ∅ folds the
     /// branch level into the prefix), t == b degenerates to make(), and a
@@ -307,25 +239,15 @@ public:
 private:
     friend class Zdd;
 
+    // Fixed values: they salt dd_cache_key, so renumbering moves cache slots.
     enum class Op : std::uint8_t {
         kUnion = 1,
-        kIntersect,
-        kDiff,
-        kProduct,
-        kSupSet,
-        kSubSet,
-        kMaximal,
-        kMinimal,
-        kSubset0,
-        kSubset1,
-        kChange,
-        kNonSubSet,
-        kNonSupSet,
-        kCofactors,
-        kSplit,
+        kIntersect = 2,
+        kDiff = 3,
+        kSplit = 15,
     };
 
-    /// cofactors: (subset0, subset1); split: (a ∩ b, a − b).
+    /// split's result: (a ∩ b, a − b).
     struct NodePair {
         NodeId lo = kEmpty;
         NodeId hi = kEmpty;
@@ -335,28 +257,13 @@ private:
     NodeId union_rec(NodeId a, NodeId b);
     NodeId intersect_rec(NodeId a, NodeId b);
     NodeId diff_rec(NodeId a, NodeId b);
-    NodeId product_rec(NodeId a, NodeId b);
-    NodeId sup_set_rec(NodeId a, NodeId b);
-    NodeId sub_set_rec(NodeId a, NodeId b);
-    NodeId non_sub_set_rec(NodeId a, NodeId b);
-    NodeId non_sup_set_rec(NodeId a, NodeId b);
-    NodeId maximal_rec(NodeId a);
-    NodeId minimal_rec(NodeId a);
-    NodeId subset0_rec(NodeId a, Var v);
-    NodeId subset1_rec(NodeId a, Var v);
-    NodePair cofactors_rec(NodeId a, Var v);
     NodePair split_rec(NodeId a, NodeId b);
-    NodeId change_rec(NodeId a, Var v);
-    NodeId drop_empty(NodeId a);
     bool contains_empty(NodeId a) const noexcept;
 
     /// Hash-cons with an already-packed var field (shared tail of make /
     /// make_chain): unique-table probe, free-list reuse or governed arena
     /// growth, chain counter.
     NodeId make_packed(Var var_bits, NodeId lo, NodeId hi);
-    /// make_chain() that returns `a` itself when (t, b, lo, hi) are exactly
-    /// its interval and children — the chain-aware analogue of make_like.
-    NodeId make_chain_like(NodeId a, Var t, Var b, NodeId lo, NodeId hi);
     /// Views operand `x` of a binary operation at branch level m: c0/c1 get
     /// the sub-families without/with m. Callers pass v = the recursion's top
     /// level (var_of(x) > v means x is untouched: (x, ∅)) and m ≥ v, where
@@ -402,7 +309,7 @@ private:
 
     UniqueTable<Node> table_;
     ComputedCache<NodeId> cache_;
-    ComputedCache<NodePair> pair_cache_;  // memo for cofactors and split
+    ComputedCache<NodePair> pair_cache_;  // memo for split
     GcStats gc_stats_;
     ChainStats chain_stats_;
     CacheStats cache_flushed_;  // values already rolled up by flush_stats()

@@ -1,5 +1,4 @@
-// BDD engine: reduction/canonicity, boolean algebra vs truth tables,
-// cofactors, sat counting.
+// BDD engine: reduction/canonicity and AND/OR against truth tables.
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
@@ -49,69 +48,35 @@ TEST(Bdd, HashConsingSharesNodes) {
 TEST(Bdd, RandomExpressionsMatchTruthTables) {
     Rng rng(2024);
     const std::uint32_t n = 5;
-    for (int trial = 0; trial < 25; ++trial) {
-        BddManager mgr(n);
-        // Random function as truth table; build BDD as OR of minterms.
-        std::vector<bool> tt(1u << n);
+    // A random function as a truth table, and its BDD as the OR of its
+    // minterms.
+    const auto random_function = [&](BddManager& mgr, double p,
+                                     std::vector<bool>& tt) {
+        tt.assign(1u << n, false);
         BddId f = mgr.bfalse();
         for (std::uint32_t a = 0; a < (1u << n); ++a) {
-            tt[a] = rng.chance(0.4);
+            tt[a] = rng.chance(p);
             if (!tt[a]) continue;
             BddId m = mgr.btrue();
             for (std::uint32_t v = n; v-- > 0;)
                 m = mgr.and_(((a >> v) & 1) != 0 ? mgr.var(v) : mgr.nvar(v), m);
             f = mgr.or_(f, m);
         }
-        for (std::uint32_t a = 0; a < (1u << n); ++a)
-            ASSERT_EQ(eval(mgr, f, a), tt[a]) << "assignment " << a;
-
-        // NOT, XOR against the table.
-        const BddId nf = mgr.not_(f);
-        const BddId x = mgr.xor_(f, mgr.var(0));
+        return f;
+    };
+    for (int trial = 0; trial < 25; ++trial) {
+        BddManager mgr(n);
+        std::vector<bool> tf, tg;
+        const BddId f = random_function(mgr, 0.4, tf);
+        const BddId g = random_function(mgr, 0.5, tg);
+        const BddId f_and_g = mgr.and_(f, g);
+        const BddId f_or_g = mgr.or_(f, g);
         for (std::uint32_t a = 0; a < (1u << n); ++a) {
-            ASSERT_EQ(eval(mgr, nf, a), !tt[a]);
-            ASSERT_EQ(eval(mgr, x, a), tt[a] != (((a >> 0) & 1) != 0));
-        }
-        // Sat count.
-        const double ones =
-            static_cast<double>(std::count(tt.begin(), tt.end(), true));
-        EXPECT_DOUBLE_EQ(mgr.sat_count(f), ones);
-        EXPECT_DOUBLE_EQ(mgr.sat_count(nf), (1u << n) - ones);
-    }
-}
-
-TEST(Bdd, CofactorMatchesSemantics) {
-    Rng rng(5);
-    const std::uint32_t n = 5;
-    BddManager mgr(n);
-    BddId f = mgr.bfalse();
-    for (int c = 0; c < 8; ++c) {
-        BddId cube = mgr.btrue();
-        for (std::uint32_t v = n; v-- > 0;) {
-            const auto r = rng.below(3);
-            if (r == 0) cube = mgr.and_(mgr.var(v), cube);
-            if (r == 1) cube = mgr.and_(mgr.nvar(v), cube);
-        }
-        f = mgr.or_(f, cube);
-    }
-    for (std::uint32_t v = 0; v < n; ++v) {
-        const BddId f0 = mgr.cofactor(f, v, false);
-        const BddId f1 = mgr.cofactor(f, v, true);
-        for (std::uint32_t a = 0; a < (1u << n); ++a) {
-            ASSERT_EQ(eval(mgr, f0, a & ~(1u << v)), eval(mgr, f, a & ~(1u << v)));
-            ASSERT_EQ(eval(mgr, f1, a | (1u << v)), eval(mgr, f, a | (1u << v)));
-            // The cofactor must not depend on v.
-            ASSERT_EQ(eval(mgr, f0, a), eval(mgr, f0, a ^ (1u << v)));
+            ASSERT_EQ(eval(mgr, f, a), tf[a]) << "assignment " << a;
+            ASSERT_EQ(eval(mgr, f_and_g, a), tf[a] && tg[a]) << "assignment " << a;
+            ASSERT_EQ(eval(mgr, f_or_g, a), tf[a] || tg[a]) << "assignment " << a;
         }
     }
-}
-
-TEST(Bdd, SatCountParity) {
-    const std::uint32_t n = 10;
-    BddManager mgr(n);
-    BddId f = mgr.bfalse();
-    for (std::uint32_t v = 0; v < n; ++v) f = mgr.xor_(f, mgr.var(v));
-    EXPECT_DOUBLE_EQ(mgr.sat_count(f), 512.0);  // half of 2^10
 }
 
 }  // namespace

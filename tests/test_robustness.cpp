@@ -11,11 +11,13 @@
 #include "solver/two_level.hpp"
 #include "util/rng.hpp"
 #include "zdd/zdd.hpp"
+#include "zdd_fixtures.hpp"
 
 namespace {
 
 using ucp::cov::CoverMatrix;
 using ucp::zdd::ZddManager;
+using ucp::zdd::fixtures::cube;
 
 TEST(Robustness, SubgradientDegenerateOptions) {
     const CoverMatrix m = ucp::gen::cyclic_matrix(8, 3);
@@ -118,13 +120,13 @@ TEST(Robustness, ZddGcChurn) {
         std::vector<ucp::zdd::Var> set;
         for (ucp::zdd::Var v = 0; v < 12; ++v)
             if (rng.chance(0.4)) set.push_back(v);
-        keep = mgr.union_(keep, mgr.set_of(set));
+        keep = mgr.union_(keep, cube(mgr, set));
     }
     const double count = keep.count();
     for (int round = 0; round < 20; ++round) {
         for (int i = 0; i < 100; ++i) {
             const auto junk =
-                mgr.power_set({static_cast<ucp::zdd::Var>(i % 12),
+                cube(mgr, {}, {static_cast<ucp::zdd::Var>(i % 12),
                                static_cast<ucp::zdd::Var>((i + 5) % 12)});
             (void)junk;
         }
@@ -143,16 +145,16 @@ TEST(Robustness, ZddDeepChains) {
     ZddManager mgr(n, chained);
     std::vector<ucp::zdd::Var> all(n);
     for (ucp::zdd::Var v = 0; v < n; ++v) all[v] = v;
-    const auto big = mgr.set_of(all);
+    const auto big = cube(mgr, all);
     EXPECT_EQ(big.node_count(), (n + 255) / 256);
     EXPECT_DOUBLE_EQ(big.count(), 1.0);
-    const auto ps = mgr.power_set({0, 100, 2000, 3999});
+    const auto ps = cube(mgr, {}, {0, 100, 2000, 3999});
     EXPECT_DOUBLE_EQ(ps.count(), 16.0);
 
     ucp::zdd::DdOptions plain;
     plain.chain_nodes = false;
     ZddManager flat(n, plain);
-    const auto big_flat = flat.set_of(all);
+    const auto big_flat = cube(flat, all);
     EXPECT_EQ(big_flat.node_count(), n);
     EXPECT_DOUBLE_EQ(big_flat.count(), 1.0);
 }

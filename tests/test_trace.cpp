@@ -25,6 +25,7 @@
 #include "util/trace.hpp"
 #include "zdd/bdd.hpp"
 #include "zdd/zdd.hpp"
+#include "zdd_fixtures.hpp"
 
 namespace {
 
@@ -367,14 +368,15 @@ TEST(Trace, FallbackInstantsMatchCounterExactly) {
 TEST(Trace, ZddManagerRollUpIsIdempotent) {
     using ucp::zdd::Zdd;
     using ucp::zdd::ZddManager;
+    using ucp::zdd::fixtures::cube;
 
     const auto run_ops = [](ZddManager& mgr) {
-        Zdd a = mgr.set_of({0, 2, 4});
-        Zdd b = mgr.set_of({1, 2, 3});
+        Zdd a = cube(mgr, {0, 2, 4});
+        Zdd b = cube(mgr, {1, 2, 3});
         Zdd u = mgr.union_(a, b);
-        u = mgr.union_(u, mgr.set_of({0, 1}));
+        u = mgr.union_(u, cube(mgr, {0, 1}));
         (void)mgr.intersect(u, a);
-        (void)mgr.minimal(u);
+        (void)mgr.split(u, cube(mgr, {2}, {0, 1, 3, 4}));
     };
 
     auto& hits = ucp::stats::counter("zdd.cache_hits");
@@ -433,7 +435,7 @@ TEST(Trace, BddManagerRollUpIsIdempotent) {
         const auto c = mgr.var(2);
         const auto ab = mgr.and_(a, b);
         (void)mgr.or_(ab, c);
-        (void)mgr.and_(mgr.or_(a, c), mgr.not_(b));
+        (void)mgr.and_(mgr.or_(a, c), mgr.nvar(1));
     };
 
     auto& misses = ucp::stats::counter("bdd.cache_misses");

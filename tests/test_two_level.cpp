@@ -132,22 +132,6 @@ TEST(TwoLevel, MultiOutputSharingIsExploited) {
     }
 }
 
-TEST(TwoLevel, ImplicitExactMatchesBranchAndBound) {
-    ucp::Rng seeds(99);
-    for (int trial = 0; trial < 8; ++trial) {
-        const Pla p = random_pla(seeds(), 5, 2, 10);
-        TwoLevelOptions exact, implicit;
-        exact.cover_solver = CoverSolver::kExact;
-        implicit.cover_solver = CoverSolver::kImplicitExact;
-        const auto re = minimize_two_level(p, exact);
-        const auto ri = minimize_two_level(p, implicit);
-        ASSERT_TRUE(re.proved_optimal && ri.proved_optimal);
-        EXPECT_TRUE(ri.verified);
-        EXPECT_EQ(ri.cost, re.cost) << p.name;
-        EXPECT_EQ(ri.lower_bound, ri.cost);
-    }
-}
-
 TEST(TwoLevel, TimingsPopulated) {
     const auto r = minimize_two_level(random_pla(3));
     EXPECT_GE(r.cyclic_core_seconds, 0.0);

@@ -1,5 +1,5 @@
-// ZDD manager: canonicity, set algebra against brute-force reference sets,
-// cube-set operators, GC safety.
+// ZDD manager: canonicity, set algebra and counting against brute-force
+// reference sets, GC safety and handle semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 
 #include "util/rng.hpp"
 #include "zdd/zdd.hpp"
+#include "zdd_fixtures.hpp"
 
 namespace {
 
@@ -15,12 +16,13 @@ using ucp::Rng;
 using ucp::zdd::Var;
 using ucp::zdd::Zdd;
 using ucp::zdd::ZddManager;
+using ucp::zdd::fixtures::cube;
 
 using SetFamily = std::set<std::vector<Var>>;
 
 Zdd from_family(ZddManager& mgr, const SetFamily& fam) {
     Zdd out = mgr.empty();
-    for (const auto& s : fam) out = mgr.union_(out, mgr.set_of(s));
+    for (const auto& s : fam) out = mgr.union_(out, cube(mgr, s));
     return out;
 }
 
@@ -45,42 +47,42 @@ SetFamily random_family(Rng& rng, Var num_vars, std::size_t count) {
     return fam;
 }
 
-bool is_subset(const std::vector<Var>& a, const std::vector<Var>& b) {
-    return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
-TEST(Zdd, TerminalsAndSingletons) {
+TEST(Zdd, TerminalsAndNullHandle) {
     ZddManager mgr(8);
     EXPECT_TRUE(mgr.empty().is_empty());
     EXPECT_TRUE(mgr.base().is_base());
     EXPECT_EQ(mgr.empty().count(), 0.0);
     EXPECT_EQ(mgr.base().count(), 1.0);
-    const Zdd s = mgr.single(3);
+    const Zdd s = cube(mgr, {3});
     EXPECT_EQ(s.count(), 1.0);
     EXPECT_EQ(to_family(mgr, s), SetFamily{{3}});
+
+    // A default-constructed Zdd has no manager and counts as the empty
+    // family instead of dereferencing null.
+    const Zdd none;
+    EXPECT_EQ(none.manager(), nullptr);
+    EXPECT_TRUE(none.is_empty());
+    EXPECT_EQ(none.count(), 0.0);
+    EXPECT_EQ(none.node_count(), 0u);
 }
 
 TEST(Zdd, CanonicityStructuralSharing) {
     ZddManager mgr(8);
-    const Zdd a = mgr.set_of({1, 3, 5});
-    const Zdd b = mgr.set_of({1, 3, 5});
+    const Zdd a = cube(mgr, {1, 3, 5});
+    const Zdd b = cube(mgr, {1, 3, 5});
     EXPECT_EQ(a.id(), b.id());
-    const Zdd u1 = mgr.union_(a, mgr.set_of({2}));
-    const Zdd u2 = mgr.union_(mgr.set_of({2}), b);
+    const Zdd u1 = mgr.union_(a, cube(mgr, {2}));
+    const Zdd u2 = mgr.union_(cube(mgr, {2}), b);
     EXPECT_EQ(u1.id(), u2.id());
 }
 
-TEST(Zdd, SetOfRejectsDuplicates) {
-    ZddManager mgr(4);
-    EXPECT_THROW(mgr.set_of({1, 1}), std::invalid_argument);
-    EXPECT_THROW(mgr.single(7), std::invalid_argument);
-}
-
-TEST(Zdd, PowerSetCount) {
+TEST(Zdd, CubeFamilyCount) {
     ZddManager mgr(16);
-    const Zdd p = mgr.power_set({0, 2, 4, 6, 8});
+    const Zdd p = cube(mgr, {}, {0, 2, 4, 6, 8});
     EXPECT_EQ(p.count(), 32.0);
     EXPECT_EQ(p.node_count(), 5u);  // chain of 5 lo==hi nodes
+    const Zdd q = cube(mgr, {1}, {0, 2});
+    EXPECT_EQ(to_family(mgr, q), (SetFamily{{1}, {0, 1}, {1, 2}, {0, 1, 2}}));
 }
 
 TEST(Zdd, UnionIntersectDiffMatchBruteForce) {
@@ -100,101 +102,11 @@ TEST(Zdd, UnionIntersectDiffMatchBruteForce) {
         std::set_difference(fa.begin(), fa.end(), fb.begin(), fb.end(),
                             std::inserter(fd, fd.end()));
 
-        EXPECT_EQ(to_family(mgr, a | b), fu);
-        EXPECT_EQ(to_family(mgr, a & b), fi);
-        EXPECT_EQ(to_family(mgr, a - b), fd);
-        EXPECT_EQ((a | b).count(), static_cast<double>(fu.size()));
+        EXPECT_EQ(to_family(mgr, mgr.union_(a, b)), fu);
+        EXPECT_EQ(to_family(mgr, mgr.intersect(a, b)), fi);
+        EXPECT_EQ(to_family(mgr, mgr.diff(a, b)), fd);
+        EXPECT_EQ(mgr.union_(a, b).count(), static_cast<double>(fu.size()));
     }
-}
-
-TEST(Zdd, Subset0Subset1Change) {
-    ZddManager mgr(4);
-    const SetFamily fam = {{}, {0}, {0, 2}, {1, 2}, {2}};
-    const Zdd z = from_family(mgr, fam);
-
-    EXPECT_EQ(to_family(mgr, mgr.subset0(z, 0)), (SetFamily{{}, {1, 2}, {2}}));
-    EXPECT_EQ(to_family(mgr, mgr.subset1(z, 0)), (SetFamily{{}, {2}}));
-    // change toggles membership of var 2 in every set
-    EXPECT_EQ(to_family(mgr, mgr.change(z, 2)),
-              (SetFamily{{2}, {0, 2}, {0}, {1}, {}}));
-    // change twice is identity
-    EXPECT_EQ(mgr.change(mgr.change(z, 1), 1).id(), z.id());
-}
-
-TEST(Zdd, ProductMatchesBruteForce) {
-    Rng rng(7);
-    for (int trial = 0; trial < 20; ++trial) {
-        ZddManager mgr(6);
-        const SetFamily fa = random_family(rng, 6, 6);
-        const SetFamily fb = random_family(rng, 6, 6);
-        const Zdd a = from_family(mgr, fa);
-        const Zdd b = from_family(mgr, fb);
-
-        SetFamily expected;
-        for (const auto& x : fa)
-            for (const auto& y : fb) {
-                std::vector<Var> u;
-                std::set_union(x.begin(), x.end(), y.begin(), y.end(),
-                               std::back_inserter(u));
-                expected.insert(std::move(u));
-            }
-        EXPECT_EQ(to_family(mgr, a * b), expected);
-    }
-}
-
-TEST(Zdd, SupSetSubSetMatchBruteForce) {
-    Rng rng(99);
-    for (int trial = 0; trial < 30; ++trial) {
-        ZddManager mgr(6);
-        const SetFamily fa = random_family(rng, 6, 10);
-        const SetFamily fb = random_family(rng, 6, 10);
-        const Zdd a = from_family(mgr, fa);
-        const Zdd b = from_family(mgr, fb);
-
-        SetFamily sup, sub;
-        for (const auto& f : fa) {
-            for (const auto& g : fb) {
-                if (is_subset(g, f)) sup.insert(f);
-                if (is_subset(f, g)) sub.insert(f);
-            }
-        }
-        EXPECT_EQ(to_family(mgr, mgr.sup_set(a, b)), sup);
-        EXPECT_EQ(to_family(mgr, mgr.sub_set(a, b)), sub);
-    }
-}
-
-TEST(Zdd, MaximalMinimalMatchBruteForce) {
-    Rng rng(123);
-    for (int trial = 0; trial < 30; ++trial) {
-        ZddManager mgr(7);
-        const SetFamily fa = random_family(rng, 7, 14);
-        const Zdd a = from_family(mgr, fa);
-
-        SetFamily maxf, minf;
-        for (const auto& f : fa) {
-            bool is_max = true, is_min = true;
-            for (const auto& g : fa) {
-                if (f == g) continue;
-                if (is_subset(f, g)) is_max = false;
-                if (is_subset(g, f)) is_min = false;
-            }
-            if (is_max) maxf.insert(f);
-            if (is_min) minf.insert(f);
-        }
-        EXPECT_EQ(to_family(mgr, mgr.maximal(a)), maxf);
-        EXPECT_EQ(to_family(mgr, mgr.minimal(a)), minf);
-    }
-}
-
-TEST(Zdd, AnySetReturnsMember) {
-    Rng rng(5);
-    ZddManager mgr(6);
-    const SetFamily fam = random_family(rng, 6, 9);
-    const Zdd z = from_family(mgr, fam);
-    auto s = mgr.any_set(z);
-    std::sort(s.begin(), s.end());
-    EXPECT_TRUE(fam.count(s) == 1);
-    EXPECT_THROW(mgr.any_set(mgr.empty()), std::invalid_argument);
 }
 
 TEST(Zdd, GcPreservesExternallyReferencedNodes) {
@@ -205,7 +117,7 @@ TEST(Zdd, GcPreservesExternallyReferencedNodes) {
 
     // Generate garbage.
     for (int i = 0; i < 200; ++i) {
-        const Zdd t = mgr.power_set({static_cast<Var>(i % 10),
+        const Zdd t = cube(mgr, {}, {static_cast<Var>(i % 10),
                                      static_cast<Var>((i + 3) % 10)});
         (void)t;
     }
@@ -221,7 +133,7 @@ TEST(Zdd, GcPreservesExternallyReferencedNodes) {
 
 TEST(Zdd, HandleCopyMoveSemantics) {
     ZddManager mgr(4);
-    Zdd a = mgr.set_of({0, 1});
+    Zdd a = cube(mgr, {0, 1});
     Zdd b = a;           // copy
     Zdd c = std::move(a);  // move
     EXPECT_EQ(b.id(), c.id());
@@ -230,41 +142,6 @@ TEST(Zdd, HandleCopyMoveSemantics) {
     EXPECT_FALSE(c.is_empty());
     mgr.gc();
     EXPECT_EQ(to_family(mgr, c), (SetFamily{{0, 1}}));
-}
-
-TEST(Zdd, DefaultHandleOperatorsAreEmptyFamily) {
-    // A default-constructed Zdd has no manager; the set-algebra operators
-    // must treat it as the empty family instead of dereferencing null.
-    ZddManager mgr(4);
-    const Zdd a = mgr.set_of({0, 1});
-    const Zdd none;
-
-    EXPECT_EQ(to_family(mgr, none | a), (SetFamily{{0, 1}}));  // {} ∪ a = a
-    EXPECT_EQ(to_family(mgr, a | none), (SetFamily{{0, 1}}));  // a ∪ {} = a
-    EXPECT_TRUE((none & a).is_empty());
-    EXPECT_TRUE((a & none).is_empty());
-    EXPECT_TRUE((none - a).is_empty());
-    EXPECT_EQ(to_family(mgr, a - none), (SetFamily{{0, 1}}));  // a − {} = a
-    EXPECT_TRUE((none * a).is_empty());
-    EXPECT_TRUE((a * none).is_empty());
-
-    // Both sides null: every result is the empty family with no manager.
-    const Zdd also_none;
-    EXPECT_TRUE((none | also_none).is_empty());
-    EXPECT_TRUE((none & also_none).is_empty());
-    EXPECT_TRUE((none - also_none).is_empty());
-    EXPECT_TRUE((none * also_none).is_empty());
-    EXPECT_EQ((none | also_none).manager(), nullptr);
-    EXPECT_EQ(none.count(), 0.0);
-    EXPECT_EQ(none.node_count(), 0u);
-}
-
-TEST(Zdd, ToDotSmoke) {
-    ZddManager mgr(3);
-    const Zdd z = mgr.union_(mgr.set_of({0, 2}), mgr.set_of({1}));
-    const std::string dot = mgr.to_dot(z, "g");
-    EXPECT_NE(dot.find("digraph g"), std::string::npos);
-    EXPECT_NE(dot.find("x0"), std::string::npos);
 }
 
 }  // namespace
