@@ -4,7 +4,9 @@
 Solution fields (cost, proved, closed, bounds, match, ...) must be
 bit-identical across commits, thread counts and engine rewrites — a drift
 means the optimiser's *answers* changed, not just its speed. Timing fields
-and performance counters are expected to move and are ignored.
+and performance counters are expected to move and are ignored. For
+google-benchmark files (the micro suites) only the set of benchmark names
+is compared.
 
 The anytime "status" field is handled separately: it is excluded from the
 drift comparison (older baselines predate it) but every fresh record that
@@ -67,8 +69,14 @@ def compare_file(baseline_path: Path, fresh_path: Path) -> list[str]:
     fresh = json.loads(fresh_path.read_text())
 
     if "benchmarks" in baseline:
-        # google-benchmark output (micro suites): timing only, nothing to pin.
-        return []
+        # google-benchmark output (micro suites): the timings move freely,
+        # but the benchmark names must match, so a renamed or vanished
+        # micro-benchmark is noticed.
+        want = {b["name"] for b in baseline["benchmarks"]}
+        got = {b["name"] for b in fresh.get("benchmarks", [])}
+        return [f"{name}: missing from fresh run" for name in sorted(want - got)] + [
+            f"{name}: not in baseline" for name in sorted(got - want)
+        ]
 
     drifts = []
     base_records = records_by_instance(baseline, "baseline", drifts)

@@ -79,8 +79,11 @@ DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
         for (Index i = 0; i < R; ++i)
             if (a.row_alive(i)) order[k++] = i;
     }
-    std::stable_sort(order.begin(), order.end(), [&](Index x, Index y) {
-        return a.live_row_size(x) > a.live_row_size(y);
+    // (size, row index) order: what a stable sort of the ascending rows
+    // gives, without its merge buffer.
+    std::sort(order.begin(), order.end(), [&](Index x, Index y) {
+        const Index sx = a.live_row_size(x), sy = a.live_row_size(y);
+        return sx != sy ? sx > sy : x < y;
     });
     for (const Index i : order) {
         if (m[i] <= 0.0) continue;
@@ -103,8 +106,9 @@ DualAscentResult dual_ascent(const Matrix& a, LagrangianWorkspace& ws,
     // On a tripped governor the re-increase is skipped: the repaired m is
     // already dual feasible, so stopping here keeps the bound valid.
     if (governor == nullptr || governor->check() == Status::kOk) {
-        std::stable_sort(order.begin(), order.end(), [&](Index x, Index y) {
-            return a.live_row_size(x) < a.live_row_size(y);
+        std::sort(order.begin(), order.end(), [&](Index x, Index y) {
+            const Index sx = a.live_row_size(x), sy = a.live_row_size(y);
+            return sx != sy ? sx < sy : x < y;
         });
         for (const Index i : order) {
             double slack = cbar[i] - m[i];  // respect the m ≤ c̄ box
@@ -166,11 +170,11 @@ MisResult mis_lower_bound(const CoverMatrix& a) {
 
     std::vector<Index> order(R);
     std::iota(order.begin(), order.end(), Index{0});
-    std::stable_sort(order.begin(), order.end(), [&](Index x, Index y) {
-        // Prefer high bound contribution, then low connectivity.
+    std::sort(order.begin(), order.end(), [&](Index x, Index y) {
+        // Prefer high bound contribution, then low connectivity; ties by row.
         const double sx = static_cast<double>(cheapest[x]) / static_cast<double>(weight[x]);
         const double sy = static_cast<double>(cheapest[y]) / static_cast<double>(weight[y]);
-        return sx > sy;
+        return sx != sy ? sx > sy : x < y;
     });
 
     MisResult out;

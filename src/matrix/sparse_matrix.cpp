@@ -214,18 +214,23 @@ bool strip_columns(const CoverMatrix& m, const std::vector<bool>& remove,
             col_map.push_back(j);
         }
     }
-    std::vector<std::vector<Index>> rows(m.num_rows());
+    // new_index is increasing, so every stripped row stays sorted: the CSR
+    // is built directly, with no per-row vector and no re-sort.
+    std::vector<std::size_t> row_off(static_cast<std::size_t>(m.num_rows()) + 1, 0);
+    std::vector<Index> row_idx;
+    row_idx.reserve(m.num_entries());
+    for (Index i = 0; i < m.num_rows(); ++i) {
+        for (const Index j : m.row(i))
+            if (!remove[j]) row_idx.push_back(new_index[j]);
+        if (row_idx.size() == row_off[i]) return false;
+        row_off[i + 1] = row_idx.size();
+    }
     std::vector<Cost> costs;
     costs.reserve(col_map.size());
     for (const Index j : col_map) costs.push_back(m.cost(j));
-    for (Index i = 0; i < m.num_rows(); ++i) {
-        rows[i].reserve(m.row(i).size());
-        for (const Index j : m.row(i))
-            if (!remove[j]) rows[i].push_back(new_index[j]);
-        if (rows[i].empty()) return false;
-    }
-    out = CoverMatrix::from_rows(static_cast<Index>(col_map.size()),
-                                 std::move(rows), std::move(costs));
+    out = CoverMatrix::from_csr(static_cast<Index>(col_map.size()),
+                                std::move(row_off), std::move(row_idx),
+                                std::move(costs));
     return true;
 }
 

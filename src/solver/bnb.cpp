@@ -4,12 +4,12 @@
 // core, bound, limit-bound strip, n-ary branch on a shortest row) and adds
 // the partitioning reduction *dynamically*: after every reduce-to-core the
 // live structure is scanned for independent blocks (matrix/components.hpp)
-// and each block is solved as its own subproblem — at the root as (block,
-// branch path) tasks up to two levels deep, fanned out by parallel_for,
-// inside the tree sequentially with per-block thresholds. Correctness of the
-// cross-block pruning rests on one recombination identity (DESIGN.md §11):
-// with per-block results B*_b found under thresholds derived from the shared
-// incumbent and the other blocks' lower bounds,
+// and each block is solved as its own subproblem — at the root as one work
+// item per block, whose untried branches a busy worker hands to a waiting one
+// (work sharing), inside the tree sequentially with per-block thresholds.
+// Correctness of the cross-block pruning rests on one recombination identity
+// (DESIGN.md §11): with per-block results B*_b found under thresholds derived
+// from the shared incumbent and the other blocks' lower bounds,
 //
 //     answer = min(whole-matrix greedy, cost0 + Σ_b B*_b)
 //
@@ -19,13 +19,12 @@
 #include "solver/bnb.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <span>
 
 #include "lagrangian/dual_ascent.hpp"
 #include "lagrangian/penalties.hpp"
@@ -56,8 +55,8 @@ constexpr int kLagrangianIterations = 60;
 constexpr std::size_t kLpCellLimit = 40'000;
 constexpr int kIncrementalMisExtraRows = 6;
 // Small-core cutoff: cores with fewer live rows skip the per-node component
-// scan, and blocks smaller than this are never root-split into branch
-// tasks — tiny cores are cheaper to finish than to decompose.
+// scan, and nodes smaller than this never hand branches to a waiting worker
+// — tiny cores are cheaper to finish than to decompose or share.
 constexpr Index kMinSplitRows = 8;
 
 stats::Counter& blocks_found_counter() {
@@ -72,16 +71,9 @@ stats::Counter& core_copies_skipped_counter() {
     static stats::Counter& c = stats::counter("bnb.core_copies_skipped");
     return c;
 }
-stats::Counter& root_tasks_idle_counter() {
-    static stats::Counter& c = stats::counter("bnb.root_tasks_idle");
+stats::Counter& steals_counter() {
+    static stats::Counter& c = stats::counter("bnb.steals");
     return c;
-}
-
-/// True when every remaining branch index of a root-split path is 0: of the
-/// subtasks that reach a path node, that one settles it (DESIGN.md §11).
-bool zero_path(std::span<const std::size_t> path) {
-    return std::all_of(path.begin(), path.end(),
-                       [](std::size_t k) { return k == 0; });
 }
 
 /// Frees what a search frame no longer reads before it branches, so a deep
@@ -213,6 +205,9 @@ public:
     [[nodiscard]] const std::vector<cov::Index>& solution() const {
         return solution_;
     }
+    /// Top-level block scopes only: the block this scope searches.
+    [[nodiscard]] bool top_level() const { return shared_ != nullptr; }
+    [[nodiscard]] Index block() const { return block_; }
 
 private:
     std::atomic<Cost> best_{kInfCost};
@@ -224,19 +219,120 @@ private:
     std::atomic<std::size_t>* nodes_ = nullptr;
 };
 
-// ---- per-worker search context ---------------------------------------------
+// ---- work sharing -----------------------------------------------------------
+
+/// One unit of top-level search (DESIGN.md §11): a whole block (no
+/// `branch_cols`), or a snapshot of one of its branching nodes whose
+/// branches `first`… are still to be searched.
+struct Item {
+    Index block = 0;
+    CoverMatrix work;             // the node's branching matrix
+    std::vector<Index> core_map;  // `work` column → original column
+    std::vector<Index> chosen;    // original columns chosen above the node
+    Cost cost = 0;                // cost of `chosen`
+    std::vector<Index> branch_cols;
+    std::size_t first = 0;
+};
+
+/// The items no worker has taken yet. A worker takes items until the stack
+/// is empty and none is running, so a running item can still hand out
+/// work; a worker about to branch hands its later branches over only while
+/// some worker waits for an item that nobody has published yet.
+class WorkStack {
+public:
+    WorkStack(std::vector<Item> items, Index num_blocks)
+        : items_(std::move(items)), open_(num_blocks, 0) {
+        std::reverse(items_.begin(), items_.end());  // block 0 on top
+        for (const Item& it : items_) ++open_[it.block];
+    }
+
+    /// True while a waiting worker has no item published for it.
+    [[nodiscard]] bool hungry() const {
+        return hungry_.load(std::memory_order_relaxed) > 0;
+    }
+
+    /// Publishes make()'s item if a worker still waits for one; counts the
+    /// item open for its block before any worker can finish it.
+    template <class Make>
+    bool give(Make&& make) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (waiting_ <= items_.size()) return false;
+        items_.push_back(make());
+        ++open_[items_.back().block];
+        sync_hungry();
+        cv_.notify_one();
+        steals_counter().add();
+        return true;
+    }
+
+    /// Waits for an item; none once every item is finished or one failed.
+    std::optional<Item> take() {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ++waiting_;
+        sync_hungry();
+        cv_.wait(lock, [&] {
+            return !items_.empty() || running_ == 0 || failed_;
+        });
+        --waiting_;
+        std::optional<Item> out;
+        if (!items_.empty() && !failed_) {
+            out.emplace(std::move(items_.back()));
+            items_.pop_back();
+            ++running_;
+        }
+        sync_hungry();
+        return out;
+    }
+
+    /// Retires a taken item; true when it was its block's last open one.
+    /// After a throw (`failed`) no worker takes another item.
+    bool finish(Index block, bool failed = false) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        --running_;
+        failed_ = failed_ || failed;
+        if (failed_ || (running_ == 0 && items_.empty())) cv_.notify_all();
+        return --open_[block] == 0;
+    }
+
+    /// After the workers joined: every item given out was finished once, so
+    /// each block's completion bound fired after its last item.
+    [[nodiscard]] bool balanced() const {
+        return items_.empty() &&
+               std::all_of(open_.begin(), open_.end(),
+                           [](std::size_t n) { return n == 0; });
+    }
+
+private:
+    void sync_hungry() {
+        hungry_.store(static_cast<long>(waiting_) -
+                          static_cast<long>(items_.size()),
+                      std::memory_order_relaxed);
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::vector<Item> items_;  // guarded by mutex_, as are the counts below
+    std::vector<std::size_t> open_;  // per block: items not yet finished
+    std::size_t waiting_ = 0;
+    std::size_t running_ = 0;
+    bool failed_ = false;
+    std::atomic<long> hungry_{0};  // waiting_ − items_.size()
+};
+
+// ---- per-item search context -----------------------------------------------
 
 struct Ctx {
     Ctx(const BnbOptions& o, Budget* gov, std::atomic<std::size_t>& n,
-        std::atomic<bool>& ab)
-        : opt(o), governor(gov), nodes(n), aborted(ab) {}
+        std::atomic<bool>& ab, WorkStack* s)
+        : opt(o), governor(gov), nodes(n), aborted(ab), stack(s) {}
 
     const BnbOptions& opt;
-    Budget* governor;                 // this subtask's governor (may be null)
+    Budget* governor;                 // this item's governor (may be null)
     std::atomic<std::size_t>& nodes;  // global expansion counter
     std::atomic<bool>& aborted;       // cooperative global cancel
+    WorkStack* stack;                 // null: one worker, nobody to share with
     Status stop = Status::kOk;
-    cov::ComponentWorkspace comp_ws;  // per-worker, allocation-free reuse
+    cov::ComponentWorkspace comp_ws;  // per-item, allocation-free reuse
 
     bool out_of_budget() {
         if (nodes.load(std::memory_order_relaxed) >= opt.max_nodes) return true;
@@ -295,12 +391,44 @@ constexpr Index kNoColumn = ~Index{0};
 /// Expands one node and searches below it. The node is `parent` without the
 /// columns marked in `parent_forbidden` (when given) and with column `fixed`
 /// (a `parent` index, or kNoColumn) chosen; `parent_map` gives each `parent`
-/// column its original index. A root-split subtask passes its branch `path`:
-/// at a path node only branch path[0] descends (DESIGN.md §11).
+/// column its original index.
 void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
              const std::vector<bool>* parent_forbidden, Index fixed,
              Cost cost_so_far, std::vector<Index>& chosen, Ctx& ctx,
-             Scope& scope, std::span<const std::size_t> path = {});
+             Scope& scope);
+
+/// Searches branches `first`… of a node: branch k fixes column
+/// branch_cols[k] and forbids the columns of the branches before it. In a
+/// top-level block scope, a node of at least kMinSplitRows rows about to
+/// descend into branch k hands branches k+1… to a waiting worker, if there
+/// is one, and searches branch k only (DESIGN.md §11).
+void search_branches(const CoverMatrix& work,
+                     const std::vector<Index>& core_map,
+                     const std::vector<Index>& branch_cols, std::size_t first,
+                     Cost cost, std::vector<Index>& chosen, Ctx& ctx,
+                     Scope& scope) {
+    const bool may_share = ctx.stack != nullptr && scope.top_level() &&
+                           work.num_rows() >= kMinSplitRows;
+    std::vector<bool> forbidden(work.num_cols(), false);
+    for (std::size_t k = 0; k < first; ++k) forbidden[branch_cols[k]] = true;
+    for (std::size_t k = first;
+         k < branch_cols.size() && !ctx.aborted.load(std::memory_order_relaxed);
+         ++k) {
+        const Index j = branch_cols[k];
+        const bool handed_off =
+            may_share && k + 1 < branch_cols.size() && ctx.stack->hungry() &&
+            ctx.stack->give([&] {
+                return Item{scope.block(), work, core_map, chosen, cost,
+                            branch_cols, k + 1};
+            });
+        chosen.push_back(core_map[j]);
+        recurse(work, core_map, k > 0 ? &forbidden : nullptr, j,
+                cost + work.cost(j), chosen, ctx, scope);
+        chosen.pop_back();
+        forbidden[j] = true;
+        if (handed_off) break;
+    }
+}
 
 /// Solves an expanded node whose core splits into k ≥ 2 independent blocks
 /// (parts[b].col_map already remapped to ORIGINAL column indices): each
@@ -363,7 +491,7 @@ void solve_node_blocks(const std::vector<cov::Partition>& parts, Cost cost,
 void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
              const std::vector<bool>* parent_forbidden, Index fixed,
              Cost cost_so_far, std::vector<Index>& chosen, Ctx& ctx,
-             Scope& scope, std::span<const std::size_t> path) {
+             Scope& scope) {
     // A branch k > 0 child strips the columns its parent forbids into a copy
     // it owns, freed before this frame branches.
     CoverMatrix own;
@@ -403,23 +531,16 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
     for (const Index j : red.essential_cols) chosen.push_back(col_map[j]);
 
     const auto unwind = [&] { chosen.resize(chosen_mark); };
-    // Of the root-split subtasks that reach a path node, only the one whose
-    // remaining path is all zeros settles it; the others expand no branch.
-    const bool settles = zero_path(path);
-    const auto settled = [&] {
-        if (!settles) root_tasks_idle_counter().add();
-        unwind();
-    };
 
     if (cost >= scope.bound()) {
         core_copies_skipped_counter().add();
-        settled();
+        unwind();
         return;
     }
     if (view.num_live_rows() == 0) {  // reductions solved the node
         core_copies_skipped_counter().add();
         scope.offer(cost, chosen);
-        settled();
+        unwind();
         return;
     }
 
@@ -434,12 +555,13 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
     for (Index j = 0; j < core.num_cols(); ++j)
         core_map[j] = col_map[core_rel_cols[j]];
 
-    // One MIS per node: it feeds the kMis bound choice and the limit-bound
+    // One MIS per node: it floors the node's bound and feeds the limit-bound
     // strip below.
     lagr::MisResult mis = lagr::mis_lower_bound(core);
     std::vector<Index> inc;
     Cost inc_cost = 0;
-    const Cost lb = core_bound(core, ctx.opt, mis, &inc, &inc_cost);
+    const Cost lb =
+        std::max(mis.bound, core_bound(core, ctx.opt, mis, &inc, &inc_cost));
     if (!inc.empty() && cost + inc_cost < scope.bound()) {
         // A heuristic incumbent found while bounding.
         std::vector<Index> cand = chosen;
@@ -447,20 +569,18 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
         scope.offer(cost + inc_cost, cand);
     }
     if (cost + lb >= scope.bound()) {
-        settled();
+        unwind();
         return;
     }
 
     // Limit-bound theorem: discard columns that cannot be in an improving
     // solution. The upper bound fed to the fixing rule is the scope bound,
     // i.e. the globally cross-seeded incumbent share, not just this block's
-    // own best. Skipped at root-split path nodes: the strip depends on the
-    // time-varying bound and every subtask of a block must branch on the
-    // same column set.
+    // own best.
     const CoverMatrix* work = &core;
     CoverMatrix stripped;
     bool strip_fired = false;
-    if (ctx.opt.use_limit_bound && path.empty()) {
+    if (ctx.opt.use_limit_bound) {
         const auto removals = lagr::limit_bound_removals(
             core, mis.rows, cost + mis.bound, scope.bound());
         if (!removals.empty()) {
@@ -501,8 +621,8 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
             }
         }
         if (!parts.empty()) {
-            if (settles) solve_node_blocks(parts, cost, chosen, ctx, scope);
-            settled();
+            solve_node_blocks(parts, cost, chosen, ctx, scope);
+            unwind();
             return;
         }
     }
@@ -511,8 +631,7 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
     release(view, red, core_rel_cols, core_rel_rows, mis, inc, own, own_map);
     if (strip_fired) release(core);
 
-    // Branch on the columns of a shortest row (complete disjunction). Each
-    // branch k fixes column j_k and forbids j_1..j_{k-1}.
+    // Branch on the columns of a shortest row (complete disjunction).
     Index branch_row = 0;
     for (Index i = 1; i < work->num_rows(); ++i)
         if (work->row(i).size() < work->row(branch_row).size()) branch_row = i;
@@ -526,26 +645,7 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
             static_cast<double>(work->cost(y)) / static_cast<double>(work->col(y).size());
         return sx < sy;
     });
-
-    if (!path.empty() && path[0] >= branch_cols.size()) {
-        settled();  // the path runs past this node's branches
-        return;
-    }
-    const auto rest = path.empty() ? path : path.subspan(1);
-    std::vector<bool> forbidden(work->num_cols(), false);
-    for (std::size_t k = 0; k < branch_cols.size(); ++k) {
-        const Index j = branch_cols[k];
-        if (!path.empty() && path[0] != k) {
-            forbidden[j] = true;  // this branch belongs to a sibling subtask
-            continue;
-        }
-        chosen.push_back(core_map[j]);
-        recurse(*work, core_map, k > 0 ? &forbidden : nullptr, j,
-                cost + work->cost(j), chosen, ctx, scope, rest);
-        chosen.pop_back();
-        forbidden[j] = true;
-        if (ctx.aborted.load(std::memory_order_relaxed)) break;
-    }
+    search_branches(*work, core_map, branch_cols, 0, cost, chosen, ctx, scope);
     unwind();
 }
 
@@ -683,7 +783,6 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
         Scope scope;
         Cost lb0 = 0;
         Cost ub0 = 0;
-        std::atomic<int> tasks_left{0};
     };
     std::vector<BlockInfo> blocks(num_blocks);
     Cost ub_sum = 0;
@@ -705,108 +804,82 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
     shared.incumbent.store(std::min(baseline.cost, cost0 + ub_sum),
                            std::memory_order_relaxed);
 
-    // ---- task set: searchable blocks, optionally root-split ----------------
-    struct Task {
-        Index block;
-        std::array<std::size_t, 2> path{};  // root branch indices, top down
-        std::size_t depth = 0;  // entries of `path` used; 0 = whole block
-    };
-    std::vector<Index> searchable;
+    // ---- work items: one per searchable block --------------------------------
+    std::vector<Item> initial;
+    bool shareable = false;
     for (Index b = 0; b < num_blocks; ++b) {
         if (blocks[b].lb0 >= blocks[b].ub0) {
             // Greedy met the block bound: proven optimal without expansion.
             blocks_pruned_counter().add();
             continue;
         }
-        searchable.push_back(b);
-    }
-
-    const unsigned want_threads = resolve_threads(opt.num_threads);
-    std::vector<Task> tasks;
-    for (const Index b : searchable) tasks.push_back(Task{b});
-    // Root split: when blocks alone cannot feed every worker, a large block
-    // becomes one task per root branch k1 and, if that is still too few, one
-    // per (k1, k2) with k2 below the block's longest row, which bounds every
-    // descendant's branch count (rows only lose columns). Requires the block
-    // to be a reduction fixpoint so every subtask recomputes the identical
-    // branch set (blocks of a fully reduced core are; a dominance-capped
-    // reduce voids the guarantee).
-    if (want_threads > 1 && searchable.size() < want_threads &&
-        !root.dominance_skipped) {
-        // Per block: root branches (its shortest row; 0 = too small to
-        // split) and its longest row.
-        std::vector<std::size_t> k1s(num_blocks, 0), longest(num_blocks, 0);
-        std::size_t one_level = 0;
-        for (const Index b : searchable) {
-            const CoverMatrix& bm = parts[b].matrix;
-            if (bm.num_rows() >= kMinSplitRows) k1s[b] = bm.num_cols();
-            for (Index i = 0; k1s[b] > 0 && i < bm.num_rows(); ++i) {
-                k1s[b] = std::min(k1s[b], bm.row(i).size());
-                longest[b] = std::max(longest[b], bm.row(i).size());
-            }
-            one_level += std::max<std::size_t>(k1s[b], 1);
-        }
-        tasks.clear();
-        const bool deep = one_level < want_threads;
-        for (const Index b : searchable) {
-            if (k1s[b] == 0) tasks.push_back(Task{b});
-            for (std::size_t k1 = 0; k1 < k1s[b]; ++k1)
-                for (std::size_t k2 = 0; k2 < (deep ? longest[b] : 1); ++k2)
-                    tasks.push_back(Task{b, {k1, k2}, deep ? 2u : 1u});
-        }
+        initial.emplace_back().block = b;  // the whole block
+        shareable = shareable || parts[b].matrix.num_rows() >= kMinSplitRows;
     }
     static stats::Counter& c_tasks = stats::counter("bnb.root_tasks");
-    c_tasks.add(tasks.size());
-    for (const Task& t : tasks) ++blocks[t.block].tasks_left;
-
-    const unsigned workers = resolve_threads(opt.num_threads, tasks.size());
+    c_tasks.add(initial.size());
+    // Only a block big enough to share can feed more workers than blocks.
+    const unsigned workers =
+        shareable ? resolve_threads(opt.num_threads)
+                  : resolve_threads(opt.num_threads, initial.size());
+    WorkStack stack(std::move(initial), num_blocks);
     std::atomic<int> first_stop{static_cast<int>(Status::kOk)};
 
-    // Tasks go out in index order — by block, then by branch path, so each
-    // block's most promising branch starts first. One worker is the
-    // sequential reference execution: tasks in order, the caller's governor
-    // charged directly (cumulative, like the pre-parallel solver). With more,
-    // every task runs under its own fork of the governor.
-    parallel_for(tasks.size(), static_cast<int>(workers), [&](std::size_t i) {
-        const Task& t = tasks[i];
-        const std::span<const std::size_t> path(t.path.data(), t.depth);
-        BlockInfo& bi = blocks[t.block];
-        {
-            TRACE_SPAN("bnb.block");
-            if (bi.scope.bound() <=
-                shared.lb[t.block].load(std::memory_order_relaxed)) {
-                // The block's share of the incumbent already meets its lower
-                // bound: prune without expansion (counted once per block).
-                (zero_path(path) ? blocks_pruned_counter()
-                                 : root_tasks_idle_counter())
-                    .add();
-            } else {
-                std::optional<Budget> forked;
-                Budget* gov = opt.governor;
-                if (workers > 1 && gov != nullptr) {
-                    forked.emplace(gov->fork());
-                    gov = &*forked;
-                }
-                Ctx ctx(opt, gov, nodes, aborted);
-                std::vector<Index> chosen;
-                recurse(parts[t.block].matrix, parts[t.block].col_map, nullptr,
-                        kNoColumn, 0, chosen, ctx, bi.scope, path);
-                if (ctx.stop != Status::kOk) {
-                    int expected = static_cast<int>(Status::kOk);
-                    first_stop.compare_exchange_strong(
-                        expected, static_cast<int>(ctx.stop),
-                        std::memory_order_relaxed);
-                }
+    // Searches one item under the block's scope. One worker is the
+    // sequential reference execution: blocks in index order, the caller's
+    // governor charged directly (cumulative, like the pre-parallel solver).
+    // With more, every item runs under its own fork of the governor.
+    const auto run = [&](Item& item) {
+        TRACE_SPAN("bnb.block");
+        BlockInfo& bi = blocks[item.block];
+        const bool whole_block = item.branch_cols.empty();
+        if (whole_block && bi.scope.bound() <=
+                               shared.lb[item.block].load(
+                                   std::memory_order_relaxed)) {
+            // The block's share of the incumbent already meets its lower
+            // bound: prune without expansion.
+            blocks_pruned_counter().add();
+            return;
+        }
+        std::optional<Budget> forked;
+        Budget* gov = opt.governor;
+        if (workers > 1 && gov != nullptr) gov = &forked.emplace(gov->fork());
+        Ctx ctx(opt, gov, nodes, aborted, workers > 1 ? &stack : nullptr);
+        if (whole_block)
+            recurse(parts[item.block].matrix, parts[item.block].col_map,
+                    nullptr, kNoColumn, 0, item.chosen, ctx, bi.scope);
+        else
+            search_branches(item.work, item.core_map, item.branch_cols,
+                            item.first, item.cost, item.chosen, ctx,
+                            bi.scope);
+        if (ctx.stop != Status::kOk) {
+            int expected = static_cast<int>(Status::kOk);
+            first_stop.compare_exchange_strong(expected,
+                                               static_cast<int>(ctx.stop),
+                                               std::memory_order_relaxed);
+        }
+    };
+    parallel_for(workers, static_cast<int>(workers), [&](std::size_t) {
+        while (std::optional<Item> item = stack.take()) {
+            try {
+                run(*item);
+            } catch (...) {
+                aborted.store(true, std::memory_order_relaxed);
+                stack.finish(item->block, /*failed=*/true);
+                throw;
+            }
+            if (stack.finish(item->block) &&
+                !aborted.load(std::memory_order_relaxed)) {
+                // Block finished exhaustively: everything unexplored costs
+                // at least min(best, final threshold), a valid proven bound.
+                const Cost t_end = shared.threshold(item->block);
+                shared.complete(item->block,
+                                std::min(blocks[item->block].scope.best(),
+                                         t_end));
             }
         }
-        if (bi.tasks_left.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            !aborted.load(std::memory_order_relaxed)) {
-            // Block finished exhaustively: everything unexplored costs at
-            // least min(best, final threshold), a valid proven bound.
-            const Cost t_end = shared.threshold(t.block);
-            shared.complete(t.block, std::min(bi.scope.best(), t_end));
-        }
     });
+    UCP_ASSERT(stack.balanced());
 
     // ---- deterministic recombination ---------------------------------------
     // min(whole-matrix greedy, essentials + Σ per-block best), blocks

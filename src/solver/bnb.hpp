@@ -5,7 +5,8 @@
 // Structure (mincov-style):
 //   * at every node, reduce to the cyclic core (essentials + dominance);
 //   * prune with a lower bound: MIS (the classical choice), dual ascent, or
-//     the Lagrangian bound (paper §3.4's stronger options);
+//     the Lagrangian bound (paper §3.4's stronger options), each floored by
+//     the MIS bound the node computes anyway;
 //   * apply the limit-bound theorem to discard columns (Theorem 2);
 //   * branch on the columns of a shortest row (complete n-ary branching).
 #pragma once
@@ -18,6 +19,9 @@
 
 namespace ucp::solver {
 
+/// The node bound. Every choice is floored by the node's MIS bound, which
+/// the limit-bound strip computes anyway: the default, dual ascent, is
+/// weaker than the MIS on unicost cores.
 enum class BnbBound {
     kMis,            ///< maximal-independent-set bound (classical VLSI choice)
     kDualAscent,     ///< heuristic dual solution (Liao–Devadas fast mode [15])
@@ -36,9 +40,9 @@ struct BnbOptions {
     /// (BudgetOptions::deadline_seconds). A trip truncates the search exactly
     /// like max_nodes: the incumbent and root bound stay valid, `optimal` is
     /// false, and BnbResult::status reports the trip. Not owned; nullptr =
-    /// ungoverned. With more than one worker every subtask runs under a
+    /// ungoverned. With more than one worker every work item runs under a
     /// fork() of this governor (shared cancel token and absolute deadline,
-    /// per-subtask iteration counters), so all workers observe
+    /// per-item iteration counters), so all workers observe
     /// deadline/cancel cooperatively.
     Budget* governor = nullptr;
     // ---- decomposition-parallel search (DESIGN.md §11) ----------------------
@@ -47,14 +51,15 @@ struct BnbOptions {
     /// per-block bounds (the partitioning reduction of paper §2, applied
     /// dynamically).
     bool decompose = true;
-    /// Worker threads for the top-level tasks, which parallel_for hands out
-    /// in index order: one per block, or, with fewer blocks than workers,
-    /// one per root branch of each block, or per pair of branches on the
-    /// first two levels when root branches are still fewer than workers.
-    /// 1 = fully sequential (the deterministic reference execution), ≤ 0 =
-    /// default_threads() (honours UCP_THREADS). The optimal cost is
-    /// bit-identical across thread counts; only the tie choice among
-    /// equal-cost covers, node counts and trip points may differ.
+    /// Worker threads for the top-level search, started by parallel_for.
+    /// The search starts with one work item per block; a worker about to
+    /// branch at a node of a block hands the node's later branches to a
+    /// waiting worker, so one large block feeds every worker. Without such
+    /// a block, no more workers than blocks start. 1 = fully sequential
+    /// (the deterministic reference execution), ≤ 0 = default_threads()
+    /// (honours UCP_THREADS). The optimal cost is bit-identical across
+    /// thread counts; only the tie choice among equal-cost covers, node
+    /// counts and trip points may differ.
     int num_threads = 1;
     /// Optional warm incumbent (original column indices). Checked for
     /// feasibility, made irredundant, and adopted when it beats the greedy

@@ -4,9 +4,11 @@
 // Design points:
 //   * No pool object, no job queue, no work stealing: every caller knows its
 //     whole task list up front (SCG starts, RWLS polish tasks, a batch of
-//     pipeline runs, the exact solver's (block, root branch) tasks) and the
-//     tasks are coarse (milliseconds to seconds each), so threads taking
-//     indices in ascending order from one shared counter balance the list.
+//     pipeline runs) and the tasks are coarse (milliseconds to seconds
+//     each), so threads taking indices in ascending order from one shared
+//     counter balance the list. The exact solver, whose work appears
+//     mid-search, runs one index per worker and shares work through its own
+//     stack (solver/bnb.cpp).
 //   * Deterministic single-thread fallback: with ≤ 1 thread every index runs
 //     inline on the calling thread, in order, so `UCP_THREADS=1` reproduces
 //     the serial execution exactly (no hidden worker thread).

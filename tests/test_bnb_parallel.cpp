@@ -1,11 +1,13 @@
 // Decomposition-parallel exact solver: the parallel search must return
 // bit-identical optimal costs to the sequential reference across thread
-// counts, detect blocks that only appear after reductions, honour the
-// governor cooperatively from every worker (forking it only when there is
-// more than one), and pin the block counters on crafted instances.
+// counts, hand branches to idle workers, detect blocks that only appear
+// after reductions, honour the governor cooperatively from every worker
+// (forking it only when there is more than one), and pin the block counters
+// on crafted instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "gen/scp_gen.hpp"
@@ -42,7 +44,7 @@ CoverMatrix block_diagonal(const std::vector<CoverMatrix>& blocks) {
 }
 
 /// Runs the decomposition-parallel solver at 1, 2, 3, 4 and 8 threads — one
-/// worker taking several tasks as well as more workers than tasks — and
+/// worker taking several blocks as well as more workers than blocks — and
 /// checks each result against the sequential non-decomposing reference:
 /// identical optimal cost, a feasible cover whose cost matches, optimality
 /// proven.
@@ -68,7 +70,11 @@ void expect_parallel_matches_reference(const CoverMatrix& m,
     }
 }
 
-TEST(BnbParallel, DifferentialRandomSingleAndMultiBlock) {
+/// The differential suite: 12 random weighted matrices of 1, 2 or 4 blocks,
+/// then 3 of perfbench's scp_exact shape (one 100×45 unicost block with 2-3
+/// root branches, shared between workers by handing over branches).
+std::vector<std::pair<std::string, CoverMatrix>> differential_instances() {
+    std::vector<std::pair<std::string, CoverMatrix>> out;
     ucp::Rng seeds(907);
     for (int trial = 0; trial < 12; ++trial) {
         ucp::gen::RandomScpOptions g;
@@ -90,33 +96,40 @@ TEST(BnbParallel, DifferentialRandomSingleAndMultiBlock) {
             parts.push_back(ucp::gen::cyclic_matrix(7, 3));
             parts.push_back(ucp::gen::cyclic_matrix(5, 2));
         }
-        const CoverMatrix m = block_diagonal(parts);
-        expect_parallel_matches_reference(
-            m, ("trial " + std::to_string(trial)).c_str());
+        out.emplace_back("trial " + std::to_string(trial),
+                         block_diagonal(parts));
     }
-    // perfbench's scp_exact shape: one block with 2-3 root branches, which
-    // 4 and 8 workers split two levels deep.
     for (int trial = 0; trial < 3; ++trial) {
         ucp::gen::UnicostScpOptions u;
         u.rows = 100;
         u.cols = 45;
         u.cols_per_row = 3;
         u.seed = seeds();
-        expect_parallel_matches_reference(
-            ucp::gen::unicost_scp(u),
-            ("unicost trial " + std::to_string(trial)).c_str());
+        out.emplace_back("unicost trial " + std::to_string(trial),
+                         ucp::gen::unicost_scp(u));
     }
+    return out;
 }
 
-TEST(BnbParallel, TwoLevelSplitSearchesEveryBranchOnce) {
-    // Single blocks with at most 3 root branches, so 4 and 8 workers split
-    // them two levels deep. Their depth-1 nodes (a) split into blocks: a
-    // weighted random block and STS(9) joined by one 2-column row, the
-    // branch row; (b) are solved by their reductions: C(10, 3) minus one
-    // column's rows is an interval matrix; (c) have 2 branches, fewer than
-    // the 3 columns of the longest row: STS(15) below root branches 1 and
-    // 2. Of the subtasks that reach such a node, only the all-zero path
-    // settles it; the rest are idle.
+/// The differential suite's scp_exact-shaped instances.
+std::vector<CoverMatrix> unicost_instances() {
+    std::vector<CoverMatrix> out;
+    for (auto& [label, m] : differential_instances())
+        if (label.rfind("unicost", 0) == 0) out.push_back(std::move(m));
+    return out;
+}
+
+TEST(BnbParallel, DifferentialRandomSingleAndMultiBlock) {
+    for (const auto& [label, m] : differential_instances())
+        expect_parallel_matches_reference(m, label.c_str());
+}
+
+TEST(BnbParallel, SharedBranchesMatchSequentialReference) {
+    // Single blocks that 2-8 workers share by handing over branches. Below
+    // a root branch the nodes (a) split into blocks: a weighted random
+    // block and STS(9) joined by one 2-column row, the branch row; (b) are
+    // solved by their reductions: C(10, 3) minus one column's rows is an
+    // interval matrix; (c) have fewer branches than the root: STS(15).
     ucp::gen::RandomScpOptions g;
     g.rows = 12;
     g.cols = 14;
@@ -134,32 +147,27 @@ TEST(BnbParallel, TwoLevelSplitSearchesEveryBranchOnce) {
     for (Index j = 0; j < pair.num_cols(); ++j) costs.push_back(pair.cost(j));
     const CoverMatrix linked = CoverMatrix::from_rows(
         pair.num_cols(), std::move(rows), std::move(costs));
-    // The reference search never decomposes a node. Against it, a node
-    // that no subtask searches leaves a worse answer standing: the greedy
-    // cover of the "decomposes" case is not optimal.
-    BnbOptions whole;
-    whole.decompose = false;
+    // Against the sequential reference, a branch that no worker searches
+    // leaves a worse answer standing: the greedy cover of the "decomposes"
+    // case is not optimal.
+    BnbOptions sequential;
+    sequential.num_threads = 1;
     EXPECT_GT(ucp::solver::chvatal_greedy(linked).cost,
-              solve_exact(linked, whole).cost);
+              solve_exact(linked, sequential).cost);
 
-    const std::pair<const char*, CoverMatrix> cases[] = {
+    std::vector<std::pair<std::string, CoverMatrix>> cases = {
         {"decomposes", linked},
         {"solved-by-reductions", ucp::gen::cyclic_matrix(10, 3)},
         {"fewer-branches", ucp::gen::steiner_triple_cover(15)}};
-    auto& root_tasks = ucp::stats::counter("bnb.root_tasks");
-    auto& idle = ucp::stats::counter("bnb.root_tasks_idle");
+    for (CoverMatrix& m : unicost_instances())
+        cases.emplace_back("unicost " + std::to_string(cases.size() - 3),
+                           std::move(m));
     for (const auto& [label, m] : cases) {
-        const auto ref = solve_exact(m, whole);
+        const auto ref = solve_exact(m, sequential);
         ASSERT_TRUE(ref.optimal) << label;
-        std::size_t root_branches = m.num_cols();
-        for (Index i = 0; i < m.num_rows(); ++i)
-            root_branches = std::min(root_branches, m.row(i).size());
-
         for (const int threads : {1, 2, 3, 4, 8}) {
             BnbOptions opt;
             opt.num_threads = threads;
-            const auto tasks0 = root_tasks.value();
-            const auto idle0 = idle.value();
             const auto r = solve_exact(m, opt);
             EXPECT_EQ(r.blocks, 1u) << label << " threads=" << threads;
             EXPECT_EQ(r.cost, ref.cost) << label << " threads=" << threads;
@@ -168,14 +176,49 @@ TEST(BnbParallel, TwoLevelSplitSearchesEveryBranchOnce) {
                 << label << " threads=" << threads;
             EXPECT_TRUE(m.is_feasible(r.solution))
                 << label << " threads=" << threads;
-            if (threads != 4) continue;
-            const auto tasks = root_tasks.value() - tasks0;
-            const auto idle_tasks = idle.value() - idle0;
-            EXPECT_GT(tasks, root_branches) << label;
-            // A settled path node was searched by one subtask, not by all.
-            EXPECT_GT(idle_tasks, 0u) << label;
-            EXPECT_LT(idle_tasks, tasks) << label;
         }
+    }
+}
+
+TEST(BnbParallel, IdleWorkersTakeHandedOffBranches) {
+    // One block and four workers: the three that find no block to start
+    // wait, and the search hands them branches. One call could end before
+    // its other threads get to wait; three calls in a row do not.
+    auto& steals = ucp::stats::counter("bnb.steals");
+    auto& root_tasks = ucp::stats::counter("bnb.root_tasks");
+    const auto steals0 = steals.value();
+    for (const CoverMatrix& m : unicost_instances()) {
+        BnbOptions opt;
+        opt.num_threads = 4;
+        const auto tasks0 = root_tasks.value();
+        const auto r = solve_exact(m, opt);
+        ASSERT_TRUE(r.optimal);
+        EXPECT_EQ(r.blocks, 1u);
+        EXPECT_EQ(root_tasks.value() - tasks0, 1u);  // the initial items
+    }
+    EXPECT_GT(steals.value() - steals0, 0u);
+
+    // One worker never hands off: it is the sequential reference.
+    const auto steals1 = steals.value();
+    BnbOptions one;
+    one.num_threads = 1;
+    for (const CoverMatrix& m : unicost_instances()) (void)solve_exact(m, one);
+    EXPECT_EQ(steals.value(), steals1);
+}
+
+TEST(BnbParallel, MisFloorPrunesAtLeastAsMuchAsMis) {
+    // Every node's bound is max(MIS, chosen bound), so at one worker the
+    // default search prunes every subtree the MIS search prunes. A pruned
+    // subtree holds no strictly better cover, so the incumbent sequence is
+    // the same and the default expands no more nodes.
+    for (const auto& [label, m] : differential_instances()) {
+        BnbOptions mis;
+        mis.bound = ucp::solver::BnbBound::kMis;
+        const auto by_mis = solve_exact(m, mis);
+        const auto by_default = solve_exact(m, BnbOptions{});
+        ASSERT_TRUE(by_mis.optimal && by_default.optimal) << label;
+        EXPECT_EQ(by_default.cost, by_mis.cost) << label;
+        EXPECT_LE(by_default.nodes, by_mis.nodes) << label;
     }
 }
 
@@ -302,45 +345,53 @@ TEST(BnbParallel, CancelIsObservedCooperativelyByAllWorkers) {
 }
 
 TEST(BnbParallel, DeadlineTruncationStaysFeasibleInParallel) {
-    ucp::BudgetOptions bo;
-    bo.iteration_cap = 3;  // a few nodes per forked subtask, then trip
-    ucp::Budget budget(bo);
-    BnbOptions opt;
-    opt.num_threads = 4;
-    opt.governor = &budget;
-    const CoverMatrix m = block_diagonal(
-        {ucp::gen::cyclic_matrix(15, 4), ucp::gen::cyclic_matrix(14, 3)});
-    const auto r = solve_exact(m, opt);
-    EXPECT_TRUE(m.is_feasible(r.solution));
-    EXPECT_LE(r.lower_bound, r.cost);
-    if (!r.optimal) {
-        EXPECT_NE(r.status, ucp::Status::kOk);
+    // Two blocks, then one that the four workers share by hand-offs.
+    std::vector<CoverMatrix> cases = {block_diagonal(
+        {ucp::gen::cyclic_matrix(15, 4), ucp::gen::cyclic_matrix(14, 3)})};
+    cases.push_back(unicost_instances().front());
+    for (const CoverMatrix& m : cases) {
+        ucp::BudgetOptions bo;
+        bo.iteration_cap = 3;  // a few nodes per forked item, then trip
+        ucp::Budget budget(bo);
+        BnbOptions opt;
+        opt.num_threads = 4;
+        opt.governor = &budget;
+        const auto r = solve_exact(m, opt);
+        EXPECT_TRUE(m.is_feasible(r.solution));
+        EXPECT_LE(r.lower_bound, r.cost);
+        if (!r.optimal) {
+            EXPECT_NE(r.status, ucp::Status::kOk);
+        }
     }
 }
 
 TEST(BnbParallel, GovernorForkedOnlyAcrossWorkers) {
     // One worker charges the caller's governor directly (the sequential
-    // reference keeps its trip points); with more, every task charges its
-    // own fork and the caller's counters stay untouched. The explicit
-    // uncapped accountant keeps the ambient chaos-lane memory faults out.
-    const CoverMatrix m = block_diagonal(
+    // reference keeps its trip points); with more, every item, handed-off
+    // branches included, charges its own fork and the caller's counters
+    // stay untouched. The explicit uncapped accountant keeps the ambient
+    // chaos-lane memory faults out.
+    std::vector<CoverMatrix> cases = {block_diagonal(
         {ucp::gen::cyclic_matrix(12, 5), ucp::gen::cyclic_matrix(13, 5),
-         ucp::gen::cyclic_matrix(11, 4)});
+         ucp::gen::cyclic_matrix(11, 4)})};
+    cases.push_back(unicost_instances().front());
     ucp::MemoryBudget uncapped(0, nullptr, ucp::fault::Spec{});
     ucp::BudgetOptions bo;
     bo.memory = &uncapped;
-    for (const int threads : {1, 4}) {
-        ucp::Budget budget(bo);
-        BnbOptions opt;
-        opt.num_threads = threads;
-        opt.governor = &budget;
-        const auto r = solve_exact(m, opt);
-        ASSERT_TRUE(r.optimal) << "threads=" << threads;
-        ASSERT_GT(r.nodes, 0u) << "threads=" << threads;
-        if (threads == 1)
-            EXPECT_GT(budget.iterations_charged(), 0u);
-        else
-            EXPECT_EQ(budget.iterations_charged(), 0u);
+    for (const CoverMatrix& m : cases) {
+        for (const int threads : {1, 4}) {
+            ucp::Budget budget(bo);
+            BnbOptions opt;
+            opt.num_threads = threads;
+            opt.governor = &budget;
+            const auto r = solve_exact(m, opt);
+            ASSERT_TRUE(r.optimal) << "threads=" << threads;
+            ASSERT_GT(r.nodes, 0u) << "threads=" << threads;
+            if (threads == 1)
+                EXPECT_GT(budget.iterations_charged(), 0u);
+            else
+                EXPECT_EQ(budget.iterations_charged(), 0u);
+        }
     }
 }
 
