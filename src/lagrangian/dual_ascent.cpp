@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <utility>
 
 #include "kernels/sparse_ops.hpp"
 #include "matrix/sub_matrix.hpp"
@@ -168,18 +168,20 @@ MisResult mis_lower_bound(const CoverMatrix& a) {
     for (Index i = 0; i < R; ++i)
         for (const Index j : a.row(i)) weight[i] += a.col(j).size();
 
-    std::vector<Index> order(R);
-    std::iota(order.begin(), order.end(), Index{0});
-    std::sort(order.begin(), order.end(), [&](Index x, Index y) {
-        // Prefer high bound contribution, then low connectivity; ties by row.
-        const double sx = static_cast<double>(cheapest[x]) / static_cast<double>(weight[x]);
-        const double sy = static_cast<double>(cheapest[y]) / static_cast<double>(weight[y]);
-        return sx != sy ? sx > sy : x < y;
+    // Prefer high bound contribution, then low connectivity; ties by row.
+    // The key is computed once per row, so the sort compares stored doubles.
+    std::vector<std::pair<double, Index>> order(R);
+    for (Index i = 0; i < R; ++i)
+        order[i] = {static_cast<double>(cheapest[i]) /
+                        static_cast<double>(weight[i]),
+                    i};
+    std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+        return x.first != y.first ? x.first > y.first : x.second < y.second;
     });
 
     MisResult out;
     std::vector<bool> col_blocked(a.num_cols(), false);
-    for (const Index i : order) {
+    for (const auto& [key, i] : order) {
         bool independent = true;
         for (const Index j : a.row(i))
             if (col_blocked[j]) {

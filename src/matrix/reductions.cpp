@@ -347,6 +347,14 @@ void run_fixpoint(SubMatrix& v, Worklists& q, const ReduceOptions& opt,
     }
 }
 
+/// Drops the alive columns left covering no alive row, keeping columns that
+/// were empty in the base (the classical core extraction).
+void sweep_uncovering_cols(SubMatrix& v) {
+    for (Index j = 0; j < v.num_cols(); ++j)
+        if (v.col_alive(j) && !v.col(j).empty() && v.live_col_size(j) == 0)
+            v.drop_dead_col(j);
+}
+
 }  // namespace
 
 InplaceReduceResult reduce_to_view(const CoverMatrix& m, SubMatrix& v,
@@ -389,13 +397,7 @@ InplaceReduceResult reduce_to_view(const CoverMatrix& m, SubMatrix& v,
     InplaceReduceResult in;
     run_fixpoint(v, q, opt, use_bits, in);
 
-    // --- extract the cyclic core --------------------------------------------
-    // Drop surviving columns that no longer cover any alive row; columns that
-    // were empty in the *input* are kept (matching the classical extraction,
-    // which only prunes columns that lost their rows during reduction).
-    for (Index j = 0; j < C; ++j)
-        if (v.col_alive(j) && !m.col(j).empty() && v.live_col_size(j) == 0)
-            v.drop_dead_col(j);
+    sweep_uncovering_cols(v);  // the alive set is now the cyclic core
 
     c_passes.add(in.passes);
     c_rows_dom.add(in.rows_removed_dominance);
@@ -423,6 +425,9 @@ ReduceResult reduce(const CoverMatrix& m, const std::vector<Index>& fixed,
 InplaceReduceResult reduce_inplace(SubMatrix& view, const ReduceDirt& dirt,
                                    const ReduceOptions& opt) {
     static stats::Counter& c_calls = stats::counter("reduce.inplace_calls");
+    static stats::Counter& c_passes = stats::counter("reduce.passes");
+    static stats::Counter& c_rows_dom = stats::counter("reduce.rows_removed_dominance");
+    static stats::Counter& c_cols_dom = stats::counter("reduce.cols_removed_dominance");
     static stats::Counter& c_bitset = stats::counter("reduce.bitset_kernel_calls");
     const stats::ScopedTimer phase_timer("reduce.seconds");
     TRACE_SPAN_ITER("reduce.inplace");
@@ -452,6 +457,35 @@ InplaceReduceResult reduce_inplace(SubMatrix& view, const ReduceDirt& dirt,
 
     InplaceReduceResult res;
     run_fixpoint(view, q, opt, use_bits, res);
+    c_passes.add(res.passes);
+    c_rows_dom.add(res.rows_removed_dominance);
+    c_cols_dom.add(res.cols_removed_dominance);
+    return res;
+}
+
+bool branch_view(const CoverMatrix& parent, const ReduceDirt& stale,
+                 std::span<const Index> forbidden, Index fixed, SubMatrix& v,
+                 ReduceDirt& dirt) {
+    v.reset(parent);
+    dirt = stale;
+    for (const Index j : forbidden) {
+        bool covered = true;
+        v.remove_col(j, [&](Index i) {
+            dirt.rows.push_back(i);
+            covered = covered && v.live_row_size(i) != 0;
+        });
+        if (!covered) return false;
+    }
+    v.fix_col(
+        fixed, [](Index) {},
+        [&](Index, Index j2) { dirt.cols.push_back(j2); });
+    return true;
+}
+
+InplaceReduceResult reduce_branch(SubMatrix& v, const ReduceDirt& dirt,
+                                  const ReduceOptions& opt) {
+    InplaceReduceResult res = reduce_inplace(v, dirt, opt);
+    sweep_uncovering_cols(v);
     return res;
 }
 

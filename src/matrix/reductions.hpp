@@ -17,6 +17,8 @@
 // `ReduceOptions::use_bitset` selects one; kAuto switches on density.
 #pragma once
 
+#include <span>
+
 #include "matrix/sparse_matrix.hpp"
 #include "matrix/sub_matrix.hpp"
 
@@ -103,7 +105,11 @@ struct InplaceReduceResult {
 /// row/column reproduces a full reduction outright (that is what reduce()
 /// does). Columns left covering no alive row are removed by the
 /// column-dominance pass unless max_dominance_cols skips it — callers needing
-/// the classical core must sweep them like reduce() does.
+/// the classical core must sweep them like reduce() does, or call
+/// reduce_branch().
+/// Charges reduce.passes and the dominance-removal counters like
+/// reduce_to_view(), but counts itself in reduce.inplace_calls, not
+/// reduce.calls.
 InplaceReduceResult reduce_inplace(SubMatrix& view, const ReduceDirt& dirt,
                                    const ReduceOptions& opt = {});
 
@@ -118,6 +124,29 @@ InplaceReduceResult reduce_inplace(SubMatrix& view, const ReduceDirt& dirt,
 InplaceReduceResult reduce_to_view(const CoverMatrix& m, SubMatrix& v,
                                    const std::vector<Index>& fixed = {},
                                    const ReduceOptions& opt = {});
+
+/// One branch of a branch-and-bound node as a live view of the node's
+/// branching matrix `parent` (DESIGN.md §11): `v` is re-targeted at
+/// `parent`, the `forbidden` columns are removed and column `fixed` is
+/// taken. `dirt` receives `stale` (what of `parent` is off its reduction
+/// fixpoint), the rows that lost a forbidden column and the columns that
+/// lost a row to `fixed`. Returns false when a forbidden column took a
+/// row's last column: no cover lies below the branch, and `v` and `dirt`
+/// are left unspecified.
+bool branch_view(const CoverMatrix& parent, const ReduceDirt& stale,
+                 std::span<const Index> forbidden, Index fixed, SubMatrix& v,
+                 ReduceDirt& dirt);
+
+/// reduce_inplace() plus reduce_to_view()'s sweep of columns left covering
+/// no alive row. After branch_view() on a parent at its reduction fixpoint
+/// apart from `stale`, the view's alive set is the branch's cyclic core —
+/// the same essentials in the same order, and the same compact() core, as
+/// strip_columns() of the forbidden columns followed by
+/// reduce_to_view({fixed}) — because on a fixpoint only a row that lost a
+/// column can newly dominate or become essential, and only a column that
+/// lost a row can newly be dominated.
+InplaceReduceResult reduce_branch(SubMatrix& v, const ReduceDirt& dirt,
+                                  const ReduceOptions& opt = {});
 
 /// One independent block of a covering matrix (the "partitioning" reduction
 /// of the classical literature, paper §2): rows/columns unreachable from one

@@ -34,11 +34,15 @@ pla::Cover primes_by_consensus(const pla::Cover& care, std::size_t max_primes,
         return false;
     };
 
-    auto insert = [&](Cube c) -> bool {
-        if (st.cubes_absorbed > budget.max_absorbed ||
-            st.containment_checks > budget.max_checks)
+    auto check_budget = [&](bool absorbed_too) {
+        if ((absorbed_too && st.cubes_absorbed > budget.max_absorbed) ||
+            st.consensus_attempts + st.containment_checks > budget.max_checks)
             throw ResourceError(Status::kNodeBudget,
                                 "primes_by_consensus: work budget exceeded");
+    };
+
+    auto insert = [&](Cube c) -> bool {
+        check_budget(true);
         if (!c.valid(s)) return false;
         if (absorbed_by_existing(c)) return false;
         // Kill strictly smaller cubes.
@@ -70,6 +74,7 @@ pla::Cover primes_by_consensus(const pla::Cover& care, std::size_t max_primes,
         ++st.passes;
         for (std::size_t j = frontier_start; j < frontier_end; ++j) {
             if (dead[j]) continue;
+            check_budget(false);  // a pass that inserts nothing still stops
             for (std::size_t i = 0; i < j; ++i) {
                 if (dead[i] || dead[j]) continue;
                 ++st.consensus_attempts;

@@ -23,9 +23,13 @@ struct ConsensusStats {
     std::size_t passes = 0;
 };
 
-/// Work limits of a budgeted run: it stops as soon as either is exceeded.
+/// Work limits of a budgeted run.
 struct ConsensusBudget {
+    /// Limit on cubes_absorbed, checked at each insert.
     std::size_t max_absorbed = std::numeric_limits<std::size_t>::max();
+    /// Limit on consensus_attempts + containment_checks, checked at each
+    /// insert and once per frontier cube of the pair loop: a function whose
+    /// cubes have no consensus still pays one attempt per pair.
     std::size_t max_checks = std::numeric_limits<std::size_t>::max();
 };
 

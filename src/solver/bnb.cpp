@@ -24,7 +24,9 @@
 #include <condition_variable>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <span>
 
 #include "lagrangian/dual_ascent.hpp"
 #include "lagrangian/penalties.hpp"
@@ -228,6 +230,7 @@ struct Item {
     Index block = 0;
     CoverMatrix work;             // the node's branching matrix
     std::vector<Index> core_map;  // `work` column → original column
+    cov::ReduceDirt stale;        // what of `work` is off the fixpoint
     std::vector<Index> chosen;    // original columns chosen above the node
     Cost cost = 0;                // cost of `chosen`
     std::vector<Index> branch_cols;
@@ -388,14 +391,16 @@ Cost core_bound(const CoverMatrix& core, const BnbOptions& opt,
 
 constexpr Index kNoColumn = ~Index{0};
 
-/// Expands one node and searches below it. The node is `parent` without the
-/// columns marked in `parent_forbidden` (when given) and with column `fixed`
-/// (a `parent` index, or kNoColumn) chosen; `parent_map` gives each `parent`
-/// column its original index.
+/// Expands one node and searches below it. A block root (`fixed` ==
+/// kNoColumn) is `parent` reduced in full; any other node is the branch of
+/// the node whose branching matrix is `parent` that forbids `forbidden` and
+/// chooses column `fixed`, and re-reduces only what that branch and
+/// `parent_stale` change (cov::branch_view). `parent_map` gives each
+/// `parent` column its original index.
 void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
-             const std::vector<bool>* parent_forbidden, Index fixed,
-             Cost cost_so_far, std::vector<Index>& chosen, Ctx& ctx,
-             Scope& scope);
+             const cov::ReduceDirt& parent_stale,
+             std::span<const Index> forbidden, Index fixed, Cost cost_so_far,
+             std::vector<Index>& chosen, Ctx& ctx, Scope& scope);
 
 /// Searches branches `first`… of a node: branch k fixes column
 /// branch_cols[k] and forbids the columns of the branches before it. In a
@@ -404,13 +409,12 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
 /// is one, and searches branch k only (DESIGN.md §11).
 void search_branches(const CoverMatrix& work,
                      const std::vector<Index>& core_map,
+                     const cov::ReduceDirt& stale,
                      const std::vector<Index>& branch_cols, std::size_t first,
                      Cost cost, std::vector<Index>& chosen, Ctx& ctx,
                      Scope& scope) {
     const bool may_share = ctx.stack != nullptr && scope.top_level() &&
                            work.num_rows() >= kMinSplitRows;
-    std::vector<bool> forbidden(work.num_cols(), false);
-    for (std::size_t k = 0; k < first; ++k) forbidden[branch_cols[k]] = true;
     for (std::size_t k = first;
          k < branch_cols.size() && !ctx.aborted.load(std::memory_order_relaxed);
          ++k) {
@@ -418,14 +422,13 @@ void search_branches(const CoverMatrix& work,
         const bool handed_off =
             may_share && k + 1 < branch_cols.size() && ctx.stack->hungry() &&
             ctx.stack->give([&] {
-                return Item{scope.block(), work, core_map, chosen, cost,
-                            branch_cols, k + 1};
+                return Item{scope.block(), work, core_map, stale, chosen,
+                            cost, branch_cols, k + 1};
             });
         chosen.push_back(core_map[j]);
-        recurse(work, core_map, k > 0 ? &forbidden : nullptr, j,
+        recurse(work, core_map, stale, {branch_cols.data(), k}, j,
                 cost + work.cost(j), chosen, ctx, scope);
         chosen.pop_back();
-        forbidden[j] = true;
         if (handed_off) break;
     }
 }
@@ -472,7 +475,7 @@ void solve_node_blocks(const std::vector<cov::Partition>& parts, Cost cost,
             sub.offer(g.cost, seed);
         }
         sub_chosen.clear();
-        recurse(parts[b].matrix, block_map, nullptr, kNoColumn, 0, sub_chosen,
+        recurse(parts[b].matrix, block_map, {}, {}, kNoColumn, 0, sub_chosen,
                 ctx, sub);
         if (ctx.aborted.load(std::memory_order_relaxed)) return;
         // A standalone scope search is exhaustive below its final best, so
@@ -489,24 +492,16 @@ void solve_node_blocks(const std::vector<cov::Partition>& parts, Cost cost,
 }
 
 void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
-             const std::vector<bool>* parent_forbidden, Index fixed,
-             Cost cost_so_far, std::vector<Index>& chosen, Ctx& ctx,
-             Scope& scope) {
-    // A branch k > 0 child strips the columns its parent forbids into a copy
-    // it owns, freed before this frame branches.
-    CoverMatrix own;
-    std::vector<Index> own_map;
-    if (parent_forbidden != nullptr) {
-        if (!cov::strip_columns(parent, *parent_forbidden, own, own_map))
-            return;  // a row lost all its columns: no cover down here
-        fixed = static_cast<Index>(
-            std::find(own_map.begin(), own_map.end(), fixed) - own_map.begin());
-        UCP_ASSERT(fixed < own.num_cols());
-        for (auto& j : own_map) j = parent_map[j];
-    }
-    const CoverMatrix& mat = parent_forbidden != nullptr ? own : parent;
-    const std::vector<Index>& col_map =
-        parent_forbidden != nullptr ? own_map : parent_map;
+             const cov::ReduceDirt& parent_stale,
+             std::span<const Index> forbidden, Index fixed, Cost cost_so_far,
+             std::vector<Index>& chosen, Ctx& ctx, Scope& scope) {
+    // The node lives on a view of `parent`: the core is its alive set once
+    // reduced, so no compacted-core copy is made for the cheap prunes.
+    cov::SubMatrix view;
+    cov::ReduceDirt dirt;
+    if (fixed != kNoColumn &&
+        !cov::branch_view(parent, parent_stale, forbidden, fixed, view, dirt))
+        return;  // a row lost all its columns: no cover down here
 
     if (ctx.aborted.load(std::memory_order_relaxed)) return;
     if (ctx.out_of_budget()) {
@@ -516,19 +511,15 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
     ctx.nodes.fetch_add(1, std::memory_order_relaxed);
     TRACE_SPAN_ITER("bnb.node");
 
-    // Reduce on a live view (no compacted-core copy yet): the alive set of
-    // `view` is the cyclic core.
-    cov::SubMatrix view;
     cov::InplaceReduceResult red;
     {
         TRACE_SPAN_ITER("bnb.reduce");
-        red = cov::reduce_to_view(
-            mat, view, fixed == kNoColumn ? std::vector<Index>{}
-                                          : std::vector<Index>{fixed});
+        red = fixed == kNoColumn ? cov::reduce_to_view(parent, view)
+                                 : cov::reduce_branch(view, dirt);
     }
     const std::size_t chosen_mark = chosen.size();
     Cost cost = cost_so_far + red.fixed_cost;
-    for (const Index j : red.essential_cols) chosen.push_back(col_map[j]);
+    for (const Index j : red.essential_cols) chosen.push_back(parent_map[j]);
 
     const auto unwind = [&] { chosen.resize(chosen_mark); };
 
@@ -553,11 +544,16 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
     // Compose the core's column mapping.
     std::vector<Index> core_map(core.num_cols());
     for (Index j = 0; j < core.num_cols(); ++j)
-        core_map[j] = col_map[core_rel_cols[j]];
+        core_map[j] = parent_map[core_rel_cols[j]];
 
     // One MIS per node: it floors the node's bound and feeds the limit-bound
-    // strip below.
+    // strip below. A node the MIS prunes skips the main bound: that bound is
+    // floored by the MIS, and a bounding heuristic's cover costs at least it.
     lagr::MisResult mis = lagr::mis_lower_bound(core);
+    if (cost + mis.bound >= scope.bound()) {
+        unwind();
+        return;
+    }
     std::vector<Index> inc;
     Cost inc_cost = 0;
     const Cost lb =
@@ -579,6 +575,7 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
     // own best.
     const CoverMatrix* work = &core;
     CoverMatrix stripped;
+    cov::ReduceDirt stale;  // what of `*work` its children must recheck
     bool strip_fired = false;
     if (ctx.opt.use_limit_bound) {
         const auto removals = lagr::limit_bound_removals(
@@ -595,7 +592,18 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
             core_map = std::move(rel_map);
             work = &stripped;
             strip_fired = true;
+            // The rows that lost a column leave the fixpoint; the strip keeps
+            // every row's index.
+            for (const Index j : removals)
+                for (const Index i : core.col(j)) stale.rows.push_back(i);
         }
+    }
+    if (red.dominance_skipped) {
+        // The core itself is off the fixpoint: every child reduces in full.
+        stale.rows.resize(work->num_rows());
+        std::iota(stale.rows.begin(), stale.rows.end(), Index{0});
+        stale.cols.resize(work->num_cols());
+        std::iota(stale.cols.begin(), stale.cols.end(), Index{0});
     }
 
     // Partitioning reduction, applied at the node (paper §2 made dynamic):
@@ -617,7 +625,7 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
             if (k >= 2) {
                 cov::split_components(view, ctx.comp_ws, k, parts);
                 for (auto& p : parts)
-                    for (auto& j : p.col_map) j = col_map[j];
+                    for (auto& j : p.col_map) j = parent_map[j];
             }
         }
         if (!parts.empty()) {
@@ -627,8 +635,9 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
         }
     }
 
-    // Lean frame: branching reads only `work`, `core_map` and `chosen`.
-    release(view, red, core_rel_cols, core_rel_rows, mis, inc, own, own_map);
+    // Lean frame: branching reads only `work`, `core_map`, `stale` and
+    // `chosen`.
+    release(view, dirt, red, core_rel_cols, core_rel_rows, mis, inc);
     if (strip_fired) release(core);
 
     // Branch on the columns of a shortest row (complete disjunction).
@@ -645,7 +654,8 @@ void recurse(const CoverMatrix& parent, const std::vector<Index>& parent_map,
             static_cast<double>(work->cost(y)) / static_cast<double>(work->col(y).size());
         return sx < sy;
     });
-    search_branches(*work, core_map, branch_cols, 0, cost, chosen, ctx, scope);
+    search_branches(*work, core_map, stale, branch_cols, 0, cost, chosen, ctx,
+                    scope);
     unwind();
 }
 
@@ -846,12 +856,12 @@ BnbResult solve_exact(const CoverMatrix& m, const BnbOptions& opt) {
         if (workers > 1 && gov != nullptr) gov = &forked.emplace(gov->fork());
         Ctx ctx(opt, gov, nodes, aborted, workers > 1 ? &stack : nullptr);
         if (whole_block)
-            recurse(parts[item.block].matrix, parts[item.block].col_map,
-                    nullptr, kNoColumn, 0, item.chosen, ctx, bi.scope);
+            recurse(parts[item.block].matrix, parts[item.block].col_map, {},
+                    {}, kNoColumn, 0, item.chosen, ctx, bi.scope);
         else
-            search_branches(item.work, item.core_map, item.branch_cols,
-                            item.first, item.cost, item.chosen, ctx,
-                            bi.scope);
+            search_branches(item.work, item.core_map, item.stale,
+                            item.branch_cols, item.first, item.cost,
+                            item.chosen, ctx, bi.scope);
         if (ctx.stop != Status::kOk) {
             int expected = static_cast<int>(Status::kOk);
             first_stop.compare_exchange_strong(expected,

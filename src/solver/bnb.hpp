@@ -3,7 +3,8 @@
 // the tests.
 //
 // Structure (mincov-style):
-//   * at every node, reduce to the cyclic core (essentials + dominance);
+//   * at every node, reduce to the cyclic core (essentials + dominance); a
+//     child re-checks only what its branch changed in its parent's core;
 //   * prune with a lower bound: MIS (the classical choice), dual ascent, or
 //     the Lagrangian bound (paper §3.4's stronger options), each floored by
 //     the MIS bound the node computes anyway;
@@ -21,7 +22,8 @@ namespace ucp::solver {
 
 /// The node bound. Every choice is floored by the node's MIS bound, which
 /// the limit-bound strip computes anyway: the default, dual ascent, is
-/// weaker than the MIS on unicost cores.
+/// weaker than the MIS on unicost cores. A node the MIS bound prunes does
+/// not run the chosen bound; the prune decisions are the same as if it had.
 enum class BnbBound {
     kMis,            ///< maximal-independent-set bound (classical VLSI choice)
     kDualAscent,     ///< heuristic dual solution (Liao–Devadas fast mode [15])

@@ -137,6 +137,34 @@ TEST(Bnb, SolvedByReductionsAlone) {
     EXPECT_LE(r.nodes, 2u);
 }
 
+TEST(Bnb, SequentialSearchTreeIsPinned) {
+    // The 1-worker search is the deterministic reference: on 40 fixed
+    // scp_exact-shaped instances (100×45, 3 columns per row) the node total
+    // and a hash of every cover equal constants measured at commit b2a1140,
+    // before children re-reduced incrementally. A change that alters the
+    // tree on purpose updates them and says why.
+    ucp::Rng seeds(2026);
+    std::size_t nodes = 0;
+    std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a
+    const auto mix = [&](std::uint64_t x) {
+        hash = (hash ^ x) * 1099511628211ULL;
+    };
+    for (int trial = 0; trial < 40; ++trial) {
+        ucp::gen::UnicostScpOptions g;
+        g.rows = 100;
+        g.cols = 45;
+        g.cols_per_row = 3;
+        g.seed = seeds();
+        const auto r = solve_exact(ucp::gen::unicost_scp(g));
+        ASSERT_TRUE(r.optimal);
+        nodes += r.nodes;
+        mix(static_cast<std::uint64_t>(r.cost));
+        for (const Index j : r.solution) mix(j);
+    }
+    EXPECT_EQ(nodes, 10'344u);
+    EXPECT_EQ(hash, 8438953152130876013ULL);
+}
+
 TEST(Bnb, NonUniformCostsPickCheapCover) {
     // Two covers: {0} cost 10, or {1,2} cost 2+3.
     const CoverMatrix m = CoverMatrix::from_rows(

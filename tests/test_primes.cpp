@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "gen/pla_gen.hpp"
 #include "gen/suites.hpp"
 #include "pla/urp.hpp"
 #include "primes/explicit_primes.hpp"
@@ -193,13 +194,32 @@ TEST(ExplicitPrimes, StatsAndLimit) {
                                                    absorbed);
               }),
               ucp::Status::kNodeBudget);
-    // A budget the run stays within changes nothing.
+    // A budget the run stays within changes nothing; the check limit counts
+    // consensus attempts and containment checks together.
     ucp::primes::ConsensusBudget ample;
     ample.max_absorbed = stats.cubes_absorbed;
-    ample.max_checks = stats.containment_checks;
+    ample.max_checks = stats.consensus_attempts + stats.containment_checks;
     EXPECT_EQ(cover_strings(ucp::primes::primes_by_consensus(f, 1u << 20,
                                                              nullptr, ample)),
               cover_strings(ucp::primes::primes_by_consensus(f)));
+}
+
+TEST(ExplicitPrimes, CheckLimitCountsPairAttempts) {
+    // Parity's minterm cubes have no consensus and absorb nothing: inserting
+    // parity11's 1,024 cubes makes 1,047,552 containment checks, just under
+    // 2^20, so only the pairwise attempts after them can stop the run.
+    const Cover f = ucp::gen::parity_pla(11).on;
+    ucp::primes::ConsensusStats stats;
+    EXPECT_EQ(resource_status([&] {
+                  ucp::primes::primes_by_consensus(
+                      f, 1u << 20, &stats,
+                      ucp::primes::ConsensusBudget{16, std::size_t{1} << 20});
+              }),
+              ucp::Status::kNodeBudget);
+    EXPECT_EQ(stats.cubes_absorbed, 0u);
+    EXPECT_EQ(stats.containment_checks, 1'047'552u);
+    EXPECT_LE(stats.consensus_attempts + stats.containment_checks,
+              (std::size_t{1} << 20) + f.size());
 }
 
 TEST(ExplicitPrimes, PrimesAreAntichainAndImplicants) {

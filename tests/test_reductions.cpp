@@ -341,6 +341,144 @@ TEST(Reductions, WorklistBitsetKernelMatchesSorted) {
 }
 
 // ---------------------------------------------------------------------------
+// Branch-and-bound children: branch_view + reduce_branch vs stripping the
+// forbidden columns and reducing the copy in full.
+// ---------------------------------------------------------------------------
+
+void expect_same_matrix(const CoverMatrix& a, const CoverMatrix& b) {
+    ASSERT_EQ(a.num_rows(), b.num_rows());
+    ASSERT_EQ(a.num_cols(), b.num_cols());
+    for (Index j = 0; j < a.num_cols(); ++j) EXPECT_EQ(a.cost(j), b.cost(j));
+    for (Index i = 0; i < a.num_rows(); ++i)
+        EXPECT_TRUE(a.row(i) == b.row(i)) << "row " << i;
+}
+
+/// Checks every branch of a shortest row of `parent` (whose rows/columns off
+/// the reduction fixpoint are `stale`): the child view's core, essentials
+/// and counters must equal those of the strip + full-reduction reference.
+/// Adds the number of feasible branches compared to `compared`.
+void check_branches(const CoverMatrix& parent, const ReduceDirt& stale,
+                    const ucp::cov::ReduceOptions& opt, int& compared) {
+    Index shortest = 0;
+    for (Index i = 1; i < parent.num_rows(); ++i)
+        if (parent.row(i).size() < parent.row(shortest).size()) shortest = i;
+    const std::vector<Index> branch = parent.row(shortest);
+    for (std::size_t k = 0; k < branch.size(); ++k) {
+        SCOPED_TRACE("branch " + std::to_string(k));
+        SubMatrix v;
+        ReduceDirt dirt;
+        const bool ok = ucp::cov::branch_view(parent, stale, {branch.data(), k},
+                                              branch[k], v, dirt);
+
+        std::vector<bool> forbidden(parent.num_cols(), false);
+        for (std::size_t b = 0; b < k; ++b) forbidden[branch[b]] = true;
+        CoverMatrix own;
+        std::vector<Index> own_map;
+        ASSERT_EQ(ok, ucp::cov::strip_columns(parent, forbidden, own, own_map));
+        if (!ok) continue;
+        ++compared;
+        const Index fixed = static_cast<Index>(
+            std::find(own_map.begin(), own_map.end(), branch[k]) -
+            own_map.begin());
+        SubMatrix rv;
+        const auto ref = ucp::cov::reduce_to_view(own, rv, {fixed}, opt);
+        const auto red = ucp::cov::reduce_branch(v, dirt, opt);
+        v.validate();
+
+        std::vector<Index> ref_ess;
+        for (const Index j : ref.essential_cols) ref_ess.push_back(own_map[j]);
+        EXPECT_EQ(red.essential_cols, ref_ess);
+        EXPECT_EQ(red.fixed_cost, ref.fixed_cost);
+        EXPECT_EQ(red.rows_removed_dominance, ref.rows_removed_dominance);
+        EXPECT_EQ(red.cols_removed_dominance, ref.cols_removed_dominance);
+        EXPECT_EQ(red.passes, ref.passes);
+
+        std::vector<Index> cmap, rmap, ref_cmap, ref_rmap;
+        const CoverMatrix core = v.compact(cmap, rmap);
+        const CoverMatrix ref_core = rv.compact(ref_cmap, ref_rmap);
+        expect_same_matrix(core, ref_core);
+        for (auto& j : ref_cmap) j = own_map[j];
+        EXPECT_EQ(cmap, ref_cmap);
+        EXPECT_EQ(rmap, ref_rmap);  // the strip keeps every row's index
+    }
+}
+
+TEST(Reductions, BranchViewMatchesStripAndFullReduce) {
+    // 240 unicost and weighted matrices, k = 2–5 columns per row, reduced to
+    // their core with each dominance kernel; half get a random column strip
+    // first, as the limit bound makes, whose rows go in as stale.
+    ucp::Rng seeds(2718);
+    int compared = 0, stripped = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        ucp::gen::UnicostScpOptions g;
+        g.rows = 24 + trial % 5 * 8;
+        g.cols = 12 + trial % 7 * 3;
+        g.cols_per_row = 2 + trial % 4;
+        g.seed = seeds();
+        CoverMatrix m = ucp::gen::unicost_scp(g);
+        if (trial % 2 == 1) {  // weighted
+            ucp::Rng costs(g.seed);
+            std::vector<std::vector<Index>> rows;
+            for (Index i = 0; i < m.num_rows(); ++i) rows.push_back(m.row(i));
+            std::vector<Cost> c(m.num_cols());
+            for (auto& x : c) x = costs.between(1, 4);
+            m = CoverMatrix::from_rows(m.num_cols(), std::move(rows),
+                                       std::move(c));
+        }
+        for (const auto mode : {ucp::cov::BitsetMode::kOff,
+                                ucp::cov::BitsetMode::kOn}) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " kernel " +
+                         std::to_string(static_cast<int>(mode)));
+            ucp::cov::ReduceOptions opt;
+            opt.use_bitset = mode;
+            const ReduceResult r = reduce(m, {}, opt);
+            if (r.solved()) continue;
+            check_branches(r.core, {}, opt, compared);
+
+            // Strip a random column set, keeping every row covered.
+            ucp::Rng pick(g.seed ^ static_cast<std::uint64_t>(mode));
+            std::vector<bool> mask(r.core.num_cols(), false);
+            for (Index j = 0; j < r.core.num_cols(); ++j)
+                mask[j] = trial % 4 < 2 && pick.chance(0.2);
+            CoverMatrix strip;
+            std::vector<Index> strip_map;
+            if (std::find(mask.begin(), mask.end(), true) == mask.end() ||
+                !ucp::cov::strip_columns(r.core, mask, strip, strip_map))
+                continue;
+            ReduceDirt stale;
+            for (Index j = 0; j < r.core.num_cols(); ++j)
+                if (mask[j])
+                    for (const Index i : r.core.col(j)) stale.rows.push_back(i);
+            ++stripped;
+            check_branches(strip, stale, opt, compared);
+        }
+    }
+    EXPECT_GT(compared, 1000);
+    EXPECT_GT(stripped, 60);
+}
+
+TEST(Reductions, BranchViewOffFixpointReducesInFull) {
+    // A parent not at its fixpoint (the unreduced matrix, as after a
+    // skipped dominance pass) with every row and column stale: each child
+    // is a full reduction.
+    ucp::Rng seeds(1618);
+    int compared = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        ucp::gen::RandomScpOptions g;
+        g.rows = 12 + trial % 10;
+        g.cols = 14 + trial % 12;
+        g.density = 0.2 + 0.02 * (trial % 5);
+        g.min_cost = 1;
+        g.max_cost = 1 + trial % 3;
+        g.seed = seeds();
+        const CoverMatrix m = ucp::gen::random_scp(g);
+        SCOPED_TRACE("seed " + std::to_string(g.seed));
+        check_branches(m, all_dirty(m), {}, compared);
+    }
+    EXPECT_GT(compared, 80);
+}
+
+// ---------------------------------------------------------------------------
 // SubMatrix view primitives.
 // ---------------------------------------------------------------------------
 

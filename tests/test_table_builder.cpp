@@ -171,6 +171,21 @@ TEST(TableBuilder, AutoPrimesTakeTheCheaperGenerator) {
     }
 }
 
+TEST(TableBuilder, AutoHandsParity11ToTheImplicitGenerator) {
+    // parity11 absorbs no cube, so only the pairwise consensus attempts
+    // exceed kAuto's check limit; the implicit generator then gives the
+    // columns, in the order, of unbudgeted consensus.
+    const Pla p = ucp::gen::parity_pla(11);
+    const CoveringTable t = build_covering_table(p);
+    EXPECT_EQ(t.prime_method, PrimeMethod::kImplicit);
+    TableBuildOptions opt;
+    opt.method = PrimeMethod::kConsensus;
+    const CoveringTable ref = build_covering_table(p, opt);
+    EXPECT_EQ(ref.prime_method, PrimeMethod::kConsensus);
+    EXPECT_EQ(t.primes.to_string(), ref.primes.to_string());
+    EXPECT_TRUE(same_rows(t.matrix, ref.matrix));
+}
+
 TEST(TableBuilder, EssentialPrimesDetected) {
     // Parity: every onset minterm is its own prime → all essential.
     const Pla p = ucp::gen::parity_pla(4);
